@@ -1,12 +1,13 @@
-"""Benchmark: batched validation engine vs the per-sample reference loop.
+"""Benchmark: batched validator scoring vs the per-sample reference loop.
 
 Two measurements on a 256-sample synthetic batch, recorded to
 ``BENCH_engine.json`` at the repository root so the samples/sec trajectory
 is tracked across PRs:
 
 * **end-to-end** — a 256-image batch scored through
-  ``ValidationEngine.discrepancies`` versus the pre-engine cost model of
-  scoring each image individually through ``DeepValidator.discrepancies``
+  ``DeepValidator.discrepancies`` versus the pre-batching cost model of
+  scoring each image individually through
+  ``DeepValidator.reference_discrepancies``
   (one forward pass + per-class SVM loop per image, exactly what the
   runtime monitor used to pay per request). This is the asserted ``>= 5x``.
 * **scoring-only** — the packed stacked-SVM scorer versus one
@@ -97,28 +98,27 @@ def _end_to_end() -> dict:
     validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
     validator.fit(train_x, train_y)
     images, _ = easy_image_task(BATCH, seed=99)
-    engine = validator.engine(cache_size=1)
 
     # Equivalence guard (identical forward chunking on both paths).
     np.testing.assert_allclose(
-        engine.discrepancies(images)[1],
         validator.discrepancies(images)[1],
+        validator.reference_discrepancies(images)[1],
         atol=1e-8,
         rtol=0,
     )
     # Re-score the batch the guard just cached so the recorded snapshot
     # also exercises the hit path of the content-addressed cache.
-    engine.discrepancies(images)
+    validator.discrepancies(images)
 
     def per_sample():
         for i in range(BATCH):
-            validator.discrepancies(images[i : i + 1])
+            validator.reference_discrepancies(images[i : i + 1])
 
     def batched():
-        # Fresh array each call so the engine's LRU cache cannot short-circuit
-        # the measurement (content hashing would hit on identical bytes).
-        engine.cache.clear()
-        engine.discrepancies(images.copy())
+        # Fresh array each call so the score cache cannot short-circuit the
+        # measurement (content hashing would hit on identical bytes).
+        validator.score_cache.clear()
+        validator.discrepancies(images.copy())
 
     per_sample_sec = _best_seconds(per_sample, repeats=2)
     batched_sec = _best_seconds(batched, repeats=3)
@@ -133,7 +133,7 @@ def _end_to_end() -> dict:
 def _metrics_summary(snapshot: dict) -> dict:
     """Flatten the run's observability snapshot into the bench record.
 
-    Captures the engine cache hit rate and the instrumented per-stage
+    Captures the score-cache hit rate and the instrumented per-stage
     wall-time histograms so the JSON trajectory tracks *where* the time
     goes, not just the headline samples/sec.
     """

@@ -93,15 +93,14 @@ def _monitor_classify() -> dict:
     validator = DeepValidator(model, ValidatorConfig(max_per_class=20))
     validator.fit(train, labels)
     monitor = RuntimeMonitor(validator)
-    engine = validator.engine()
     images = rng.standard_normal((BATCH, 1, 28, 28)).astype(np.float32)
 
     def classify_with(enabled: bool):
         def run():
             infer.set_plan_enabled(enabled)
-            # Fresh bytes + a cleared cache so the engine's content-hash
+            # Fresh bytes + a cleared cache so the validator's content-hash
             # LRU cannot short-circuit the measurement.
-            engine.cache.clear()
+            validator.score_cache.clear()
             monitor.classify(images.copy())
 
         return run
@@ -109,10 +108,10 @@ def _monitor_classify() -> dict:
     try:
         # Equivalence guard: verdict-level identity between the two paths.
         infer.set_plan_enabled(False)
-        engine.cache.clear()
+        validator.score_cache.clear()
         verdicts_t = monitor.classify(images.copy())
         infer.set_plan_enabled(True)
-        engine.cache.clear()
+        validator.score_cache.clear()
         verdicts_p = monitor.classify(images.copy())
         assert [v.prediction for v in verdicts_p] == [v.prediction for v in verdicts_t]
         assert [v.status for v in verdicts_p] == [v.status for v in verdicts_t]

@@ -70,7 +70,6 @@ def _serving() -> tuple[dict, dict]:
     from tests.helpers import easy_image_task
 
     validator = _fitted_validator()
-    engine = validator.engine()
     images, _ = easy_image_task(STREAM, seed=99)
     monitor = RuntimeMonitor(validator)
 
@@ -81,17 +80,17 @@ def _serving() -> tuple[dict, dict]:
         store = BundleStore(root)
         store.save(ValidatorBundle.pack(validator, version=1, name="bench"))
         loaded = store.load("bench", 1)
-    served_engine = loaded.validator.engine()
+    served_validator = loaded.validator
 
     def per_request():
         # Fresh cache each repeat: identical request bytes would otherwise
-        # hit the engine's content-addressed cache and time nothing.
-        engine.cache.clear()
+        # hit the validator's content-addressed cache and time nothing.
+        validator.score_cache.clear()
         for i in range(STREAM):
             monitor.classify(images[i : i + 1])
 
     def served():
-        served_engine.cache.clear()
+        served_validator.score_cache.clear()
         with ValidationServer(
             loaded.monitor(),
             ServeConfig(

@@ -9,7 +9,6 @@ the unweighted sum over layers is the joint discrepancy used to flag
 error-inducing corner cases.
 """
 
-from repro.core.engine import ValidationEngine
 from repro.core.checkpoint import (
     CheckpointIntegrityError,
     CheckpointStore,
@@ -30,7 +29,6 @@ from repro.core.monitor import RuntimeMonitor, ValidationVerdict
 from repro.core.resilience import (
     CircuitBreaker,
     DegradedModeWarning,
-    DegradedScorer,
     InputGuard,
 )
 from repro.core.weighting import (
@@ -59,7 +57,6 @@ from repro.core.calibration import (
 )
 
 __all__ = [
-    "ValidationEngine",
     "CheckpointIntegrityError",
     "CheckpointStore",
     "TaskJournal",
@@ -79,7 +76,6 @@ __all__ = [
     "ValidationVerdict",
     "CircuitBreaker",
     "DegradedModeWarning",
-    "DegradedScorer",
     "InputGuard",
     "fit_logistic_weights",
     "fit_auc_greedy_weights",

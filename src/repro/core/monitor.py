@@ -34,12 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.core import resilience
-from repro.core.resilience import (
-    CircuitBreaker,
-    DegradedModeWarning,
-    DegradedScorer,
-    InputGuard,
-)
+from repro.core.resilience import CircuitBreaker, DegradedModeWarning, InputGuard
 from repro.core.validator import DeepValidator
 from repro.utils.warnings_ import emit_warning
 
@@ -156,7 +151,6 @@ class RuntimeMonitor:
         self.validator = validator
         self.on_reject = on_reject
         self.guard = guard if guard is not None else InputGuard()
-        self.scorer = DegradedScorer(validator)
         self._clock = clock if clock is not None else time.monotonic
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
@@ -252,12 +246,12 @@ class RuntimeMonitor:
     def classify(self, images: np.ndarray) -> list[ValidationVerdict]:
         """Classify a batch, validating every internal state (Figure 1).
 
-        Scoring goes through the batched
-        :class:`~repro.core.engine.ValidationEngine`'s fault-isolated
-        path, so monitoring traffic pays one stacked kernel evaluation
-        per healthy layer regardless of batch size, replayed windows hit
-        the engine's score cache, and a broken layer or malformed input
-        degrades the verdict instead of raising. Verdicts come back in
+        Scoring goes through
+        :meth:`DeepValidator.discrepancies_resilient`, so monitoring
+        traffic pays one stacked kernel evaluation per healthy layer
+        regardless of batch size, replayed windows hit the validator's
+        score cache, and a broken layer or malformed input degrades the
+        verdict instead of raising. Verdicts come back in
         input order, one per image.
         """
         with obs.span("monitor.classify") as span:
@@ -296,8 +290,8 @@ class RuntimeMonitor:
             for position in skip:
                 self._layers[position].skipped_batches += 1
         try:
-            predictions, per_layer, errors = (
-                self.validator.engine().discrepancies_resilient(images, skip=skip)
+            predictions, per_layer, errors = self.validator.discrepancies_resilient(
+                images, skip=skip
             )
         except Exception as exc:  # noqa: BLE001 — fail-safe, never raise
             emit_warning(
@@ -356,7 +350,7 @@ class RuntimeMonitor:
         else:
             names = ()
 
-        joints = self.scorer.combine(per_layer, frozenset(dropped))
+        joints = self.validator.combine(per_layer, frozenset(dropped))
         verdicts = []
         for prediction, row, joint in zip(predictions, per_layer, joints):
             accepted = bool(joint <= self.validator.epsilon)

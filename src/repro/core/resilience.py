@@ -4,7 +4,7 @@ Deep Validation's premise is that the *classifier* fails on corner-case
 inputs — but a production monitor must also survive failures of its own
 substrate: NaN activations from a numerically-broken layer, a scorer that
 starts raising, an input that violates the serving contract. This module
-provides the three building blocks :class:`~repro.core.monitor.RuntimeMonitor`
+provides the two building blocks :class:`~repro.core.monitor.RuntimeMonitor`
 composes into a fault-tolerant serving path:
 
 * :class:`InputGuard` — shape/dtype/range/finiteness contract checks that
@@ -13,14 +13,14 @@ composes into a fault-tolerant serving path:
 * :class:`CircuitBreaker` — per-layer failure accounting with the classic
   closed → open → half-open lifecycle, so a persistently broken layer
   validator is skipped outright (no latency spent on a known-bad scorer)
-  and re-probed after a cooldown;
-* :class:`DegradedScorer` — when one or more layer validators are skipped
-  or fail, drops those columns from the joint discrepancy and rescales the
-  remaining sum (and hence the effective threshold) by the calibrated
-  per-layer contributions, so flagging stays meaningful instead of biased
-  toward acceptance. With zero layers skipped it defers to
-  ``DeepValidator.combine`` unchanged, so the fault-free path is
-  bit-identical to normal scoring.
+  and re-probed after a cooldown.
+
+When one or more layer validators are skipped or fail, the monitor drops
+those columns through ``DeepValidator.combine(per_layer, skipped)``, which
+rescales the remaining sum (and hence the effective threshold) by the
+calibrated per-layer contributions, so flagging stays meaningful instead of
+biased toward acceptance; with zero layers skipped it is plain Eq. 3, so the
+fault-free path is bit-identical to normal scoring.
 
 Degraded scoring announces itself with :class:`DegradedModeWarning`
 (escalatable to an error via ``REPRO_STRICT=1``, see
@@ -315,75 +315,3 @@ class CircuitBreaker:
             f"CircuitBreaker(state={self.state!r}, failures={self.failures}, "
             f"threshold={self.failure_threshold})"
         )
-
-
-# -- degraded-mode scoring -----------------------------------------------------
-
-
-class DegradedScorer:
-    """Joint-discrepancy combiner that tolerates missing layer columns.
-
-    With no skipped layers this defers to ``DeepValidator.combine`` — the
-    fault-free path is bit-identical to normal scoring. With skipped
-    layers, the surviving columns are combined and, for the ``"sum"``
-    combiner, rescaled by the calibrated per-layer contribution ratio
-    ``total / active`` so the degraded sum — and therefore the comparison
-    against the unchanged ``epsilon`` — stays commensurable with the
-    full-layer score (rescaling the sum up is algebraically identical to
-    rescaling the threshold down). ``"mean"``/``"max"`` combine the active
-    columns directly; ``"last"`` falls back to the rearmost active layer.
-
-    Calibrated contributions come from
-    ``DeepValidator.layer_contributions`` (recorded by
-    ``calibrate_threshold`` as the mean absolute weighted per-layer
-    discrepancy over the calibration sets); validators calibrated before
-    this field existed fall back to uniform contributions.
-    """
-
-    def __init__(self, validator) -> None:
-        self.validator = validator
-
-    def contributions(self) -> np.ndarray:
-        """Per-layer contribution magnitudes (uniform when uncalibrated)."""
-        n_layers = len(self.validator.layer_indices)
-        recorded = getattr(self.validator, "layer_contributions", None)
-        if recorded is not None and len(recorded) == n_layers:
-            recorded = np.asarray(recorded, dtype=np.float64)
-            if np.all(np.isfinite(recorded)) and recorded.sum() > 0:
-                return recorded
-        return np.ones(n_layers)
-
-    def combine(
-        self, per_layer: np.ndarray, skipped: frozenset[int] | set[int]
-    ) -> np.ndarray:
-        """Joint discrepancy over the active layers only.
-
-        ``skipped`` holds positions (indices into the validated-layer
-        list) excluded from the combination; their columns are ignored
-        entirely, so NaN placeholders never leak into the score.
-        """
-        if not skipped:
-            return self.validator.combine(per_layer)
-        config = self.validator.config
-        n_layers = per_layer.shape[1]
-        active = np.array(
-            [i for i in range(n_layers) if i not in skipped], dtype=np.intp
-        )
-        if len(active) == 0:
-            return np.full(len(per_layer), np.nan)
-        columns = per_layer[:, active]
-        if config.weights is not None:
-            columns = columns * np.asarray(config.weights)[active][None, :]
-        if config.combiner == "sum":
-            contributions = self.contributions()
-            total = contributions.sum()
-            active_total = contributions[active].sum()
-            scale = total / active_total if active_total > 0 else (
-                n_layers / len(active)
-            )
-            return columns.sum(axis=1) * scale
-        if config.combiner == "mean":
-            return columns.mean(axis=1)
-        if config.combiner == "max":
-            return columns.max(axis=1)
-        return columns[:, -1]  # "last": rearmost surviving layer

@@ -5,6 +5,14 @@ training images, per layer per class) and Algorithm 2 (discrepancy
 estimation for a test image), including the paper's DenseNet policy of
 validating only the rear layers (Section IV-C) and the joint combination of
 per-layer discrepancies (Eq. 3).
+
+:class:`DeepValidator` is also the production scoring object. Its batched
+path (see ``docs/engine.md``) runs the forward pass once, scores each
+validated layer against every class at once through the layer's
+:class:`~repro.svm.packed.PackedClassSVMs`, and memoises results by a
+content hash of the input batch; the differential harness pins it against
+the paper-faithful per-class loop (:meth:`DeepValidator.reference_discrepancies`)
+at 1e-8.
 """
 
 from __future__ import annotations
@@ -13,14 +21,61 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.nn.sequential import ProbedSequential
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.packed import PackedClassSVMs, pack_class_svms
 from repro.svm.scaler import StandardScaler
+from repro.utils.cache import LRUCache, hash_array
 from repro.utils.rng import RngLike, new_rng
 
 #: Sentinel distinguishing "pack not yet attempted" from "unpackable".
 _PACK_UNSET = object()
+
+#: Samples per forward-pass chunk and per kernel block when scoring; bounds
+#: transient memory to ``256 x support vectors`` floats per layer.
+_SCORE_CHUNK = 256
+
+#: Scored batches memoised per validator.
+_SCORE_CACHE_SIZE = 32
+
+
+def _cache_counter():
+    return obs.counter(
+        "engine_cache_requests_total",
+        help="Engine score-cache lookups by result",
+        labels=("result",),
+    )
+
+
+def _layer_seconds():
+    return obs.histogram(
+        "engine_layer_score_seconds",
+        help="Per-layer kernel-scoring wall time",
+        labels=("layer",),
+    )
+
+
+def _hash_key(images: np.ndarray, caller: str) -> str:
+    with obs.timed(
+        obs.histogram(
+            "cache_hash_seconds",
+            help="Wall time spent content-hashing batches for score-cache keys",
+            labels=("caller",),
+        ).labels(caller=caller)
+    ):
+        return hash_array(images)
+
+
+def _is_clean(result: tuple[np.ndarray, np.ndarray, dict]) -> bool:
+    """Whether a scoring result may be memoised.
+
+    A result with a failed layer, or with non-finite scores (a silently-NaN
+    substrate leaves those), is never cached: it would keep serving the
+    failure long after the layer recovered.
+    """
+    _, per_layer, errors = result
+    return not errors and bool(np.isfinite(per_layer).all())
 
 
 @dataclass
@@ -65,6 +120,12 @@ class ValidatorConfig:
             )
         if self.n_jobs != -1 and self.n_jobs < 1:
             raise ValueError(f"n_jobs must be -1 or >= 1, got {self.n_jobs}")
+        if self.max_per_class < 2:
+            # A one-class SVM needs at least two training points per class;
+            # fail here rather than after the training-set forward passes.
+            raise ValueError(
+                f"max_per_class must be >= 2, got {self.max_per_class}"
+            )
 
 
 class LayerValidator:
@@ -245,6 +306,12 @@ class DeepValidator:
     ``config.layers`` selects which probes to validate (e.g. the rear six
     layers of a DenseNet); ``epsilon`` defaults to 0 until calibrated with
     :meth:`calibrate_threshold` or set directly.
+
+    Scored batches are memoised in ``score_cache``, an
+    :class:`~repro.utils.cache.LRUCache` keyed on a content hash of the
+    batch: calibrating a threshold and then flagging the same images, or a
+    monitor replaying a window, skips the forward pass and all kernel
+    work. The cache is replaced on :meth:`fit` and excluded from pickles.
     """
 
     def __init__(self, model: ProbedSequential, config: ValidatorConfig | None = None) -> None:
@@ -270,9 +337,20 @@ class DeepValidator:
         self.validators: list[LayerValidator] = []
         self.epsilon: float = 0.0
         #: Mean |weighted per-layer discrepancy| from calibration; consumed
-        #: by degraded-mode rescaling. ``None`` until calibrated.
+        #: by degraded-mode rescaling in :meth:`combine`. ``None`` until
+        #: calibrated.
         self.layer_contributions: np.ndarray | None = None
         self.fit_summary = _FitSummary()
+        self.score_cache = LRUCache(_SCORE_CACHE_SIZE)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("score_cache", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.score_cache = LRUCache(_SCORE_CACHE_SIZE)
 
     # -- Algorithm 1 -----------------------------------------------------------
 
@@ -297,7 +375,7 @@ class DeepValidator:
         """
         from repro.core.fitting import fit_deep_validator
 
-        self.__dict__.pop("_engine", None)  # refitting invalidates the engine
+        self.score_cache = LRUCache(_SCORE_CACHE_SIZE)  # old scores are stale
         # A refit reports only its own run: stale layer lists and image
         # counts from a previous fit must not accumulate.
         self.fit_summary = _FitSummary()
@@ -334,24 +412,146 @@ class DeepValidator:
 
     # -- Algorithm 2 -----------------------------------------------------------
 
+    def _compute(
+        self, images: np.ndarray, caller: str, skip: frozenset[int] | set[int]
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+        """Batched Algorithm 2 with per-layer fault isolation.
+
+        One forward pass, then each validated layer not in ``skip`` is
+        scored through its packed multi-class scorer inside its own
+        try/except: a raising scorer leaves a NaN column and an entry in
+        the returned error map (keyed by layer position) instead of
+        aborting the batch; skipped layers are NaN columns too. The arrays
+        come back read-only so cached results can be handed out directly.
+        """
+        attributes = {"skipped": len(skip)} if caller == "discrepancies_resilient" else {}
+        with obs.span(f"engine.{caller}", batch=len(images), **attributes):
+            probabilities, representations = self.model.hidden_representations(
+                images, batch_size=_SCORE_CHUNK
+            )
+            predictions = probabilities.argmax(axis=1)
+            errors: dict[int, Exception] = {}
+            columns = []
+            for position, validator in enumerate(self.validators):
+                if position in skip:
+                    columns.append(np.full(len(images), np.nan))
+                    continue
+                name = validator.layer_name
+                try:
+                    # A numerically-broken layer (NaN/Inf representations)
+                    # must surface as NaN discrepancies the caller can see,
+                    # not as numpy RuntimeWarnings spamming serving logs.
+                    with np.errstate(invalid="ignore", over="ignore"), obs.span(
+                        "engine.layer_score", layer=name
+                    ), obs.timed(_layer_seconds().labels(layer=name)):
+                        columns.append(
+                            validator.discrepancy_batched(
+                                representations[validator.layer_index],
+                                predictions,
+                                chunk_size=_SCORE_CHUNK,
+                            )
+                        )
+                except Exception as exc:  # noqa: BLE001 — isolation is the contract
+                    obs.counter(
+                        "engine_layer_failures_total",
+                        help="Layer scorers that raised during scoring",
+                        labels=("layer",),
+                    ).labels(layer=name).inc()
+                    errors[position] = exc
+                    columns.append(np.full(len(images), np.nan))
+            per_layer = np.stack(columns, axis=1)
+        predictions.flags.writeable = False
+        per_layer.flags.writeable = False
+        return predictions, per_layer, errors
+
+    def _score(
+        self,
+        images: np.ndarray,
+        caller: str,
+        skip: frozenset[int] | set[int] = frozenset(),
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+        """:meth:`_compute` behind the score cache.
+
+        An empty batch short-circuits to ``(0,)``/``(0, L)`` results without
+        touching the model — serving paths see ``n=0`` windows whenever
+        every input of a batch was quarantined upstream. Batches with a
+        non-empty ``skip`` bypass the cache (its key does not encode the
+        skip set). Otherwise concurrent calls with identical batches are
+        single-flighted: one thread computes (one cache miss), the rest
+        adopt its result (cache hits); only clean results are memoised.
+        """
+        self._check_fitted()
+        if len(images) == 0:
+            predictions = np.empty(0, dtype=np.int64)
+            per_layer = np.empty((0, len(self.validators)))
+            predictions.flags.writeable = False
+            per_layer.flags.writeable = False
+            return predictions, per_layer, {}
+        if skip:
+            _cache_counter().labels(result="miss").inc()
+            return self._compute(images, caller, skip)
+        key = _hash_key(images, caller)
+        computed = False
+
+        def compute() -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+            nonlocal computed
+            computed = True
+            return self._compute(images, caller, skip)
+
+        result = self.score_cache.get_or_compute(key, compute, cache_if=_is_clean)
+        _cache_counter().labels(result="miss" if computed else "hit").inc()
+        return result
+
     def discrepancies(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-layer discrepancies for a batch (reference path).
+        """Per-layer discrepancies for a batch: ``(predictions, D)``.
 
-        Returns ``(predictions, D)`` with ``D`` of shape
-        ``(len(images), len(validated layers))``.
+        ``D`` has shape ``(len(images), len(validated layers))``. This is
+        the batched, cached path; a layer scorer that raises propagates
+        its exception to every caller, including threads that adopted a
+        failed in-flight computation. Both arrays are read-only.
+        """
+        predictions, per_layer, errors = self._score(
+            np.asarray(images), "discrepancies"
+        )
+        if errors:
+            raise next(iter(errors.values()))
+        return predictions, per_layer
 
-        This is the paper-faithful per-class-loop implementation and the
-        ground truth the differential test harness checks the batched
-        engine against; hot callers should go through :meth:`engine`
-        instead.
+    def discrepancies_resilient(
+        self, images: np.ndarray, skip: frozenset[int] | set[int] = frozenset()
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+        """Per-layer-isolated scoring: ``(predictions, D, layer_errors)``.
+
+        The fault-tolerant counterpart of :meth:`discrepancies` used by
+        :class:`~repro.core.monitor.RuntimeMonitor`: a raising layer scorer
+        yields a NaN column and an entry in ``layer_errors`` (keyed by
+        layer *position* in the validated-layer list) instead of aborting
+        the batch, and positions in ``skip`` (open-circuited layers) are
+        not evaluated at all. With nothing skipped and nothing failing the
+        result is bit-identical to :meth:`discrepancies` and shares its
+        cache entries; results with skipped, failed or non-finite columns
+        are never cached.
+        """
+        predictions, per_layer, errors = self._score(
+            np.asarray(images), "discrepancies_resilient", skip
+        )
+        return predictions, per_layer, dict(errors)
+
+    def reference_discrepancies(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-layer discrepancies via the paper's per-class loop.
+
+        The paper-faithful implementation of Algorithm 2 and the ground
+        truth the differential harness checks :meth:`discrepancies`
+        against (at 1e-8): each batch is grouped by predicted class and
+        scored one (layer, class) group at a time. Uncached.
         """
         self._check_fitted()
         images = np.asarray(images)
         if len(images) == 0:
-            # Mirror the engine's empty-batch short-circuit so the two
-            # paths agree on n=0 without touching the model.
             return np.empty(0, dtype=np.int64), np.empty((0, len(self.validators)))
-        probabilities, representations = self.model.hidden_representations(images)
+        probabilities, representations = self.model.hidden_representations(
+            images, batch_size=_SCORE_CHUNK
+        )
         predictions = probabilities.argmax(axis=1)
         columns = [
             validator.discrepancy(representations[validator.layer_index], predictions)
@@ -360,55 +560,66 @@ class DeepValidator:
         return predictions, np.stack(columns, axis=1)
 
     def joint_discrepancy(self, images: np.ndarray) -> np.ndarray:
-        """The joint discrepancy ``d`` (Eq. 3, or the configured combiner).
-
-        Routed through the batched :meth:`engine`, so calibration followed
-        by flagging of the same images hits the score cache instead of
-        paying the forward pass and kernel work twice;
-        :meth:`discrepancies` remains the paper-faithful per-class
-        reference path (the differential harness pins the two at 1e-8).
-        """
-        _, per_layer = self.engine().discrepancies(images)
+        """The joint discrepancy ``d`` (Eq. 3, or the configured combiner)."""
+        _, per_layer = self.discrepancies(images)
         return self.combine(per_layer)
 
-    def combine(self, per_layer: np.ndarray) -> np.ndarray:
-        """Join per-layer discrepancies into a single score per sample."""
-        if self.config.weights is not None:
-            per_layer = per_layer * np.asarray(self.config.weights)[None, :]
+    def _contributions(self) -> np.ndarray:
+        """Calibrated per-layer contributions (uniform when uncalibrated)."""
+        n_layers = len(self.layer_indices)
+        # Validators pickled before calibration recorded this have no field.
+        recorded = getattr(self, "layer_contributions", None)
+        if recorded is not None and len(recorded) == n_layers:
+            recorded = np.asarray(recorded, dtype=np.float64)
+            if np.all(np.isfinite(recorded)) and recorded.sum() > 0:
+                return recorded
+        return np.ones(n_layers)
+
+    def combine(
+        self, per_layer: np.ndarray, skipped: frozenset[int] | set[int] = frozenset()
+    ) -> np.ndarray:
+        """Join per-layer discrepancies into a single score per sample.
+
+        ``skipped`` holds layer positions (indices into the validated-layer
+        list) excluded from the combination, e.g. open-circuited or failed
+        layer validators; their columns are ignored entirely, so NaN
+        placeholders never leak into the score. For the ``"sum"`` combiner
+        the surviving sum is rescaled by the calibrated contribution ratio
+        ``total / active`` (see ``layer_contributions``), keeping it
+        commensurable with ``epsilon`` — rescaling the sum up is
+        algebraically identical to rescaling the threshold down.
+        ``"mean"``/``"max"`` combine the surviving columns directly and
+        ``"last"`` falls back to the rearmost surviving layer. With nothing
+        skipped this is exactly Eq. 3 (or the configured combiner).
+        """
+        weights = self.config.weights
+        if skipped:
+            active = [i for i in range(per_layer.shape[1]) if i not in skipped]
+            if not active:
+                return np.full(len(per_layer), np.nan)
+            per_layer = per_layer[:, active]
+            if weights is not None:
+                weights = np.asarray(weights)[active]
+        if weights is not None:
+            per_layer = per_layer * np.asarray(weights)[None, :]
         if self.config.combiner == "sum":
-            return per_layer.sum(axis=1)
+            if not skipped:
+                return per_layer.sum(axis=1)
+            contributions = self._contributions()
+            active_total = contributions[active].sum()
+            scale = (
+                contributions.sum() / active_total
+                if active_total > 0
+                else len(contributions) / len(active)
+            )
+            return per_layer.sum(axis=1) * scale
         if self.config.combiner == "mean":
             return per_layer.mean(axis=1)
         if self.config.combiner == "max":
             return per_layer.max(axis=1)
-        return per_layer[:, -1]  # "last"
+        return per_layer[:, -1]  # "last": the rearmost (surviving) layer
 
     # -- deployment ------------------------------------------------------------
-
-    def engine(self, chunk_size: int = 256, cache_size: int = 32):
-        """The batched :class:`~repro.core.engine.ValidationEngine` view.
-
-        Built lazily, cached on the instance, dropped on refit and excluded
-        from pickles — validators restored from old artifact caches grow an
-        engine transparently on first use. Requesting different
-        ``chunk_size``/``cache_size`` rebuilds the engine.
-        """
-        from repro.core.engine import ValidationEngine
-
-        cached = self.__dict__.get("_engine")
-        if (
-            cached is None
-            or cached.chunk_size != chunk_size
-            or cached.cache.maxsize != cache_size
-        ):
-            cached = ValidationEngine(self, chunk_size=chunk_size, cache_size=cache_size)
-            self.__dict__["_engine"] = cached
-        return cached
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_engine", None)
-        return state
 
     def calibrate_threshold(
         self, clean_images: np.ndarray, corner_images: np.ndarray
@@ -417,21 +628,19 @@ class DeepValidator:
 
         The paper's recommendation (Section IV-D3): the centre between the
         centroid of legitimate-image discrepancies and the centroid of
-        corner-case discrepancies trades off TPR against FPR. Scores come
-        from the batched engine, whose cache makes a subsequent
-        :meth:`flag` of the same images free.
+        corner-case discrepancies trades off TPR against FPR. Both sets are
+        scored through the cache, so a subsequent :meth:`flag` of the same
+        images is free.
 
         Calibration also records ``layer_contributions`` — the mean
         absolute weighted per-layer discrepancy over both calibration sets
-        — which degraded-mode scoring uses to rescale the joint sum when a
-        layer validator is skipped (see
-        :class:`~repro.core.resilience.DegradedScorer`).
+        — which :meth:`combine` uses to rescale the joint sum when a layer
+        validator is skipped.
         """
         from repro.core.thresholds import centroid_threshold
 
-        engine = self.engine()
-        _, clean_per_layer = engine.discrepancies(clean_images)
-        _, corner_per_layer = engine.discrepancies(corner_images)
+        _, clean_per_layer = self.discrepancies(clean_images)
+        _, corner_per_layer = self.discrepancies(corner_images)
         stacked = np.concatenate([clean_per_layer, corner_per_layer], axis=0)
         if self.config.weights is not None:
             stacked = stacked * np.asarray(self.config.weights)[None, :]
@@ -444,7 +653,7 @@ class DeepValidator:
     def flag(self, images: np.ndarray) -> np.ndarray:
         """Boolean mask of images whose joint discrepancy exceeds epsilon.
 
-        Engine-routed like :meth:`joint_discrepancy`; flagging images that
-        were just calibrated on is a cache hit, not a recompute.
+        Flagging images that were just calibrated on is a cache hit, not a
+        recompute.
         """
         return self.joint_discrepancy(images) > self.epsilon

@@ -13,9 +13,9 @@ class DeepValidationDetector(Detector):
     """Deep Validation as a drop-in detector for side-by-side comparisons.
 
     The anomaly score is the joint discrepancy (Eq. 3), which is already
-    oriented higher-is-more-anomalous. Scoring runs through the batched
-    :class:`~repro.core.engine.ValidationEngine`, so baseline comparisons
-    that score the same split repeatedly hit its cache.
+    oriented higher-is-more-anomalous. Scoring runs through the validator's
+    batched path, so baseline comparisons that score the same split
+    repeatedly hit its score cache.
     """
 
     name = "deep-validation"
@@ -31,4 +31,4 @@ class DeepValidationDetector(Detector):
         return self
 
     def score(self, images: np.ndarray) -> np.ndarray:
-        return self.validator.engine().joint_discrepancy(images)
+        return self.validator.joint_discrepancy(images)

@@ -59,16 +59,6 @@ class ExperimentContext:
         return self.classifier.model
 
     @property
-    def engine(self):
-        """Batched scoring engine over the fitted validator (cached there).
-
-        Every experiment table/figure scores through this rather than the
-        per-sample reference path; contexts restored from old artifact
-        caches build the engine lazily on first access.
-        """
-        return self.validator.engine()
-
-    @property
     def dataset(self):
         return self.classifier.dataset
 

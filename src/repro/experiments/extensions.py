@@ -53,8 +53,8 @@ class WeightingStudy:
 def run_weighting_study(context: ExperimentContext) -> WeightingStudy:
     """Fit weights on half the evaluation material, score on the rest."""
     scc, _ = context.suite.all_scc_images()
-    _, clean = context.engine.discrepancies(context.clean_images)
-    _, corner = context.engine.discrepancies(scc)
+    _, clean = context.validator.discrepancies(context.clean_images)
+    _, corner = context.validator.discrepancies(scc)
     half_c, half_k = len(clean) // 2, len(corner) // 2
     calib = (clean[:half_c], corner[:half_k])
     evalu = (clean[half_c:], corner[half_k:])
@@ -99,8 +99,8 @@ class TradeoffStudy:
 def run_tradeoff_study(context: ExperimentContext) -> TradeoffStudy:
     """Greedy validator-selection curve for one context."""
     scc, _ = context.suite.all_scc_images()
-    _, clean = context.engine.discrepancies(context.clean_images)
-    _, corner = context.engine.discrepancies(scc)
+    _, clean = context.validator.discrepancies(context.clean_images)
+    _, corner = context.validator.discrepancies(scc)
     return TradeoffStudy(
         layer_names=context.validated_layer_names(),
         curve=greedy_layer_selection(clean, corner),
@@ -168,13 +168,13 @@ def run_augmentation_study(
 
     validator = DeepValidator(model, ValidatorConfig(nu=0.1, max_per_class=100))
     validator.fit(dataset.train_images, dataset.train_labels)
-    clean_scores = validator.engine().joint_discrepancy(context.clean_images)
+    clean_scores = validator.joint_discrepancy(context.clean_images)
     residual = []
     for name in suite.viable_transformations:
         result = suite.result(name)
         still_fooled = model.predict(result.images) != result.seed_labels
         if still_fooled.any():
-            residual.append(validator.engine().joint_discrepancy(result.images[still_fooled]))
+            residual.append(validator.joint_discrepancy(result.images[still_fooled]))
     residual_scores = np.concatenate(residual) if residual else np.empty(0)
     if len(residual_scores):
         labels = np.concatenate(

@@ -69,8 +69,8 @@ def run_figure3(dataset_name: str, profile: str = "tiny", seed: int = 0, bins: i
     """Compute the Figure 3 discrepancy histograms for one dataset."""
     context = get_context(dataset_name, profile, seed)
     scc, _ = context.suite.all_scc_images()
-    clean_scores = context.engine.joint_discrepancy(context.clean_images)
-    scc_scores = context.engine.joint_discrepancy(scc)
+    clean_scores = context.validator.joint_discrepancy(context.clean_images)
+    scc_scores = context.validator.joint_discrepancy(scc)
 
     # Normalise jointly to [-1, 1] as in the paper's plots.
     scale = max(np.abs(clean_scores).max(), np.abs(scc_scores).max())

@@ -69,7 +69,7 @@ class Table6Result:
 def _per_layer_and_joint(
     context: ExperimentContext, images: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    _, per_layer = context.engine.discrepancies(images)
+    _, per_layer = context.validator.discrepancies(images)
     return per_layer, context.validator.combine(per_layer)
 
 

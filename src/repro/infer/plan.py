@@ -8,7 +8,7 @@ resulting :class:`InferencePlan` replays that sequence per chunk, reusing
 im2col columns, padded staging, GEMM outputs, and pooling scratch through a
 :class:`~repro.infer.workspace.WorkspacePool`, and writes every probe
 *directly* into the flattened ``(N, features)`` layout the packed SVM
-scorer consumes — the reshape copy between model and `ValidationEngine`
+scorer consumes — the reshape copy between model and validator scoring
 disappears.
 
 Determinism contract

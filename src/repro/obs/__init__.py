@@ -28,6 +28,11 @@ bit-identical to the instrumented run (pinned by the golden-trace suite in
 :func:`set_enabled` overrides it at runtime (``None`` re-reads the
 environment).
 
+**Retention.** The default tracer times spans (``timed`` and the
+profiling helpers read its clock) but discards them once finished; a
+:class:`Tracer` built by a caller keeps its in-memory exporter, so install
+one with :func:`use` or :func:`set_tracer` to read spans back.
+
 **Test isolation.** :func:`use` swaps in a scoped registry/tracer (and
 optionally forces the switch) for a ``with`` block, so golden-trace tests
 observe exactly their own pipeline under a
@@ -84,11 +89,23 @@ __all__ = [
 #: Environment variable that disables every observability hook when "0".
 ENV_SWITCH = "REPRO_OBS"
 
+class _DiscardingExporter(InMemorySpanExporter):
+    """Drops every finished span: the default tracer's exporter.
+
+    Spans are kept for whoever installs a tracer to read them (tests,
+    benchmarks, :func:`use`); a long-running process that installed none
+    must not hold every span it ever finished.
+    """
+
+    def export(self, span: Span) -> None:
+        return None
+
+
 _lock = threading.RLock()
 _state: dict[str, Any] = {
     "enabled": None,  # None = not yet read from the environment
     "registry": MetricsRegistry(),
-    "tracer": Tracer(),
+    "tracer": Tracer(exporter=_DiscardingExporter()),
 }
 
 

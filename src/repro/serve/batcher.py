@@ -1,7 +1,7 @@
 """Bounded-queue micro-batching: coalesce single-image requests into batches.
 
 The paper's deployment story is a guarded classifier serving one image per
-request, but PR 1's packed-GEMM engine only pays off when images are scored
+request, but the packed-GEMM scorer only pays off when images are scored
 together. :class:`MicroBatcher` bridges the two: producers :meth:`offer`
 single requests into a bounded queue; consumer (worker) threads call
 :meth:`next_batch`, which takes the oldest request and keeps gathering

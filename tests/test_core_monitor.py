@@ -1,5 +1,8 @@
 """Tests for the runtime monitoring façade."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -259,3 +262,28 @@ class TestHealthRegression:
         assert health["status"] == "failing"
         for snapshot in health["layers"].values():
             assert snapshot["state"] == "open"
+
+
+class TestRelease:
+    def test_used_validator_is_freed_by_del_without_the_cyclic_collector(
+        self, trained_tiny_model
+    ):
+        # Processes that load and swap validators (bundle rollouts, refits)
+        # rely on a dropped validator being freed by reference counting
+        # alone: nothing the scoring path caches may point back at it.
+        model, train_x, train_y, test_x, _ = trained_tiny_model
+        noise = np.random.default_rng(2).random((20, 1, 12, 12))
+        gc.collect()
+        gc.disable()
+        try:
+            validator = DeepValidator(model, ValidatorConfig(nu=0.15, max_per_class=40))
+            validator.fit(train_x, train_y)
+            validator.calibrate_threshold(test_x[:20], noise)
+            monitor = RuntimeMonitor(validator)
+            monitor.classify(test_x[:4])
+            monitor.classify(test_x[:4])  # a score-cache hit
+            released = weakref.ref(validator)
+            del monitor, validator
+            assert released() is None
+        finally:
+            gc.enable()

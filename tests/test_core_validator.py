@@ -22,6 +22,16 @@ class TestValidatorConfig:
         with pytest.raises(ValueError):
             ValidatorConfig(combiner="median")
 
+    @pytest.mark.parametrize("max_per_class", [-1, 0, 1])
+    def test_rejects_max_per_class_below_two(self, max_per_class):
+        # Rejected at construction, before any training-set forward pass:
+        # a one-class SVM needs at least two points per class.
+        with pytest.raises(ValueError, match="max_per_class"):
+            ValidatorConfig(max_per_class=max_per_class)
+
+    def test_accepts_max_per_class_two(self):
+        assert ValidatorConfig(max_per_class=2).max_per_class == 2
+
     def test_defaults_match_paper(self):
         config = ValidatorConfig()
         assert config.combiner == "sum"  # Eq. 3: unweighted sum

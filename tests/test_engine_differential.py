@@ -1,14 +1,14 @@
-"""Differential harness: the batched engine must equal the per-sample path.
+"""Differential harness: the batched scorer must equal the per-sample path.
 
-The batched validation engine rewrites the numerical core of the
+The batched scoring path rewrites the numerical core of the
 reproduction — stacked support vectors, one Gram block per layer,
 segment-wise reductions — so every property here pins its output against
 the paper-faithful reference implementation (``LayerValidator.discrepancy``
 called one sample at a time) to 1e-8, across random kernels, nu values,
 class skews, and degenerate inputs.
 
-Image-level comparisons (``DeepValidator.discrepancies`` vs
-``ValidationEngine.discrepancies``) use matching forward-pass chunking:
+Image-level comparisons (``DeepValidator.reference_discrepancies`` vs
+``DeepValidator.discrepancies``) use matching forward-pass chunking:
 the float32 forward pass is only reproducible for identical batch
 splits, and the point of this harness is the scoring math, not conv
 GEMM accumulation order.
@@ -163,13 +163,13 @@ class TestEngineAgainstValidator:
         model, train_x, train_y, test_x, _ = trained_tiny_model
         validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
         validator.fit(train_x, train_y)
-        predictions, reference = validator.discrepancies(test_x)
-        engine = validator.engine()  # default chunk matches the reference path
-        engine_predictions, batched = engine.discrepancies(test_x)
-        np.testing.assert_array_equal(predictions, engine_predictions)
+        predictions, reference = validator.reference_discrepancies(test_x)
+        # Both paths forward in the same 256-image chunks.
+        batched_predictions, batched = validator.discrepancies(test_x)
+        np.testing.assert_array_equal(predictions, batched_predictions)
         np.testing.assert_allclose(batched, reference, atol=TOLERANCE, rtol=0)
-        # joint_discrepancy routes through the engine; pin it against the
-        # combined *reference* matrix, not against the engine itself.
+        # joint_discrepancy routes through the batched path; pin it against
+        # the combined *reference* matrix, not against the batched path.
         np.testing.assert_allclose(
             validator.joint_discrepancy(test_x),
             validator.combine(reference),
@@ -181,18 +181,15 @@ class TestEngineAgainstValidator:
         model, train_x, train_y, test_x, _ = trained_tiny_model
         validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
         validator.fit(train_x, train_y)
-        engine = validator.engine()
-        first = engine.joint_discrepancy(test_x)
-        second = engine.joint_discrepancy(test_x)
+        first = validator.joint_discrepancy(test_x)
+        second = validator.joint_discrepancy(test_x)
         np.testing.assert_array_equal(first, second)
-        assert engine.stats["hits"] >= 1
-        np.testing.assert_array_equal(
-            engine.flag(test_x), validator.flag(test_x)
-        )
+        assert validator.score_cache.stats["hits"] >= 1
+        np.testing.assert_array_equal(validator.flag(test_x), first > validator.epsilon)
 
     def test_deployment_helpers_route_through_engine(self, trained_tiny_model):
         # calibrate_threshold / joint_discrepancy / flag all go through the
-        # batched engine now: scores must still match the per-class
+        # batched path: scores must still match the per-class
         # reference loop at 1e-8, and calibrating then flagging the same
         # images must be a cache hit, not a recompute.
         model, train_x, train_y, test_x, _ = trained_tiny_model
@@ -201,31 +198,31 @@ class TestEngineAgainstValidator:
         noise = np.random.default_rng(3).random((30, 1, 12, 12))
 
         epsilon = validator.calibrate_threshold(test_x[:30], noise)
-        engine = validator.engine()
-        assert engine.stats["misses"] == 2  # one per calibration batch
+        assert validator.score_cache.stats["misses"] == 2  # one per calibration batch
         flags = validator.flag(noise)
-        assert engine.stats["hits"] >= 1  # flagging replayed a cached batch
+        assert validator.score_cache.stats["hits"] >= 1  # a cached replay
 
         from repro.core.thresholds import centroid_threshold
 
-        clean_ref = validator.combine(validator.discrepancies(test_x[:30])[1])
-        noise_ref = validator.combine(validator.discrepancies(noise)[1])
+        clean_ref = validator.combine(validator.reference_discrepancies(test_x[:30])[1])
+        noise_ref = validator.combine(validator.reference_discrepancies(noise)[1])
         assert abs(epsilon - centroid_threshold(clean_ref, noise_ref)) < TOLERANCE
         np.testing.assert_array_equal(flags, noise_ref > epsilon)
 
     def test_engine_survives_pickle_round_trip(self, trained_tiny_model):
-        # Cached contexts pickle fitted validators; the engine and packs are
-        # rebuilt lazily after restore and must score identically.
+        # Cached contexts pickle fitted validators; the score cache and packs
+        # are left out and rebuilt after restore, which must score identically.
         import pickle
 
         model, train_x, train_y, test_x, _ = trained_tiny_model
         validator = DeepValidator(model, ValidatorConfig(max_per_class=60))
         validator.fit(train_x, train_y)
-        expected = validator.engine().joint_discrepancy(test_x)
+        expected = validator.joint_discrepancy(test_x)
+        assert len(validator.score_cache) == 1
         restored = pickle.loads(pickle.dumps(validator))
-        assert "_engine" not in restored.__dict__
+        assert len(restored.score_cache) == 0
         np.testing.assert_allclose(
-            restored.engine().joint_discrepancy(test_x), expected, atol=TOLERANCE
+            restored.joint_discrepancy(test_x), expected, atol=TOLERANCE
         )
 
 
@@ -241,7 +238,7 @@ def edge_case_validator(trained_tiny_model):
 class TestEngineEdgeBatches:
     """Serving-shaped inputs: empty windows, singletons, mixed dtypes.
 
-    A monitor whose whole batch was quarantined hands the engine ``n=0``;
+    A monitor whose whole batch was quarantined hands the validator ``n=0``;
     batch-size-1 is the steady state of online monitoring; and producers
     ship float32 or float64 interchangeably. All three must agree with
     the reference path at 1e-8.
@@ -250,20 +247,20 @@ class TestEngineEdgeBatches:
     def test_empty_batch(self, edge_case_validator, trained_tiny_model):
         validator = edge_case_validator
         empty = np.empty((0, 1, 12, 12))
-        predictions, per_layer = validator.engine().discrepancies(empty)
-        ref_predictions, ref_per_layer = validator.discrepancies(empty)
+        predictions, per_layer = validator.discrepancies(empty)
+        ref_predictions, ref_per_layer = validator.reference_discrepancies(empty)
         assert predictions.shape == ref_predictions.shape == (0,)
         assert per_layer.shape == ref_per_layer.shape == (0, 3)
         np.testing.assert_allclose(per_layer, ref_per_layer, atol=TOLERANCE, rtol=0)
-        assert validator.engine().joint_discrepancy(empty).shape == (0,)
-        assert validator.engine().flag(empty).shape == (0,)
+        assert validator.joint_discrepancy(empty).shape == (0,)
+        assert validator.flag(empty).shape == (0,)
 
     def test_single_image_batch(self, edge_case_validator, trained_tiny_model):
         validator = edge_case_validator
         _, _, _, test_x, _ = trained_tiny_model
         one = test_x[:1]
-        predictions, per_layer = validator.engine().discrepancies(one)
-        ref_predictions, ref_per_layer = validator.discrepancies(one)
+        predictions, per_layer = validator.discrepancies(one)
+        ref_predictions, ref_per_layer = validator.reference_discrepancies(one)
         np.testing.assert_array_equal(predictions, ref_predictions)
         np.testing.assert_allclose(per_layer, ref_per_layer, atol=TOLERANCE, rtol=0)
         assert per_layer.shape == (1, 3)
@@ -273,14 +270,14 @@ class TestEngineEdgeBatches:
         _, _, _, test_x, _ = trained_tiny_model
         batch64 = np.ascontiguousarray(test_x[:16], dtype=np.float64)
         batch32 = np.ascontiguousarray(test_x[:16], dtype=np.float32)
-        engine = validator.engine()
-        _, from64 = engine.discrepancies(batch64)
-        _, from32 = engine.discrepancies(batch32)
-        _, reference = validator.discrepancies(batch64)
+        misses = validator.score_cache.stats["misses"]
+        _, from64 = validator.discrepancies(batch64)
+        _, from32 = validator.discrepancies(batch32)
+        _, reference = validator.reference_discrepancies(batch64)
         # The forward pass casts to float32 either way: both dtypes must
         # match the reference path (and therefore each other) at 1e-8.
         np.testing.assert_allclose(from64, reference, atol=TOLERANCE, rtol=0)
         np.testing.assert_allclose(from32, reference, atol=TOLERANCE, rtol=0)
         # Content hashing includes dtype, so the variants were distinct
         # cache entries rather than one entry serving both.
-        assert engine.stats["misses"] >= 2
+        assert validator.score_cache.stats["misses"] - misses == 2

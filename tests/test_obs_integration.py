@@ -166,7 +166,7 @@ class TestGoldenTrace:
         validator = DeepValidator(model, config)
         validator.fit(train_x, train_y)
         with slow_layer(validator.validators[1], 0.25, clock=clock):
-            validator.engine().discrepancies(test_x[:8])
+            validator.discrepancies(test_x[:8])
         (span,) = [
             s
             for s in exporter.find("engine.layer_score")
@@ -178,6 +178,80 @@ class TestGoldenTrace:
         ][0]
         assert parent.name == "engine.discrepancies"
         assert parent.duration == pytest.approx(0.25)
+
+
+class TestTelemetryContract:
+    """Every span and series the benchmark's per-layer report reads.
+
+    ``perfbench/layers.py`` reports a name it cannot find as zero instead
+    of failing, so a renamed span or metric would silently zero one of its
+    per-layer figures; these names are pinned here, at their source.
+    """
+
+    def test_fit_and_classify_emit_every_name_perfbench_reads(
+        self, scoped, trained_tiny_model
+    ):
+        model, train_x, train_y, test_x, _ = trained_tiny_model
+        registry, exporter = scoped[0], scoped[3]
+        validator = DeepValidator(
+            model, ValidatorConfig(seed=0, nu=0.2, max_per_class=40)
+        )
+        validator.fit(train_x, train_y)
+        RuntimeMonitor(validator).classify(test_x[:4])
+
+        by_id = {span.span_id: span for span in exporter.spans}
+
+        def parent(span):
+            return by_id.get(span.parent_id)
+
+        (classify,) = exporter.find("monitor.classify")
+        assert classify.attributes["batch"] == 4
+        (scoring,) = exporter.find("engine.discrepancies_resilient")
+        assert parent(scoring) is classify
+        assert scoring.attributes["batch"] == 4
+        layer_spans = exporter.find("engine.layer_score")
+        assert len(layer_spans) == len(validator.validators)
+        assert all(parent(span) is scoring for span in layer_spans)
+        assert any(parent(span) is scoring for span in exporter.find("infer.forward"))
+        assert all("batch" in span.attributes for span in exporter.find("infer.forward"))
+
+        snap = registry.snapshot()
+
+        def label_values(name, label):
+            return {series["labels"][label] for series in snap[name]["series"]}
+
+        assert label_values("engine_cache_requests_total", "result") == {"miss"}
+        assert label_values("cache_hash_seconds", "caller") == {
+            "discrepancies_resilient"
+        }
+        assert snap["svm_packed_gemm_seconds"]["series"][0]["count"] > 0
+        assert label_values("infer_workspace_reuse_total", "result") <= {"hit", "miss"}
+        assert snap["infer_workspace_reuse_total"]["series"]
+        assert label_values("profile_stage_seconds", "stage") >= {
+            "fit.plan",
+            "fit.extract",
+            "fit.solve",
+        }
+        assert label_values("fit_tasks_total", "mode") == {"inprocess"}
+
+
+class TestDefaultTracer:
+    def test_default_tracer_retains_no_spans(self, trained_tiny_model):
+        # A long-running process that never installs a tracer must not keep
+        # every span it finishes (about nine per classify).
+        model, train_x, train_y, test_x, _ = trained_tiny_model
+        registry = MetricsRegistry()
+        with obs.use(registry=registry, enabled=True):
+            tracer = obs.get_tracer()
+            validator = DeepValidator(
+                model, ValidatorConfig(seed=0, nu=0.2, max_per_class=40)
+            )
+            validator.fit(train_x, train_y)
+            monitor = RuntimeMonitor(validator)
+            for index in range(200):
+                monitor.classify(test_x[index % 40 : index % 40 + 1])
+        assert registry.snapshot()["monitor_verdicts_total"]["series"]
+        assert tracer.exporter.spans == []
 
 
 class TestKillSwitch:
@@ -194,7 +268,7 @@ class TestKillSwitch:
                 validator, _, verdicts = _fit_calibrate_monitor(
                     model, train_x, train_y, test_x
                 )
-                _, per_layer = validator.engine().discrepancies(test_x[:8])
+                _, per_layer = validator.discrepancies(test_x[:8])
             return validator, verdicts, per_layer, registry, exporter
 
         on_v, on_verdicts, on_scores, _, _ = run(True)
@@ -256,7 +330,7 @@ class TestSlowLayerAttribution:
         validator = DeepValidator(model, config)
         validator.fit(train_x, train_y)
         with slow_layer(validator.validators[1], 0.5, clock=clock) as stats:
-            validator.engine().discrepancies(test_x[:8])
+            validator.discrepancies(test_x[:8])
         assert stats["calls"] == 1
         by_layer = {
             s["labels"]["layer"]: s
@@ -276,7 +350,7 @@ class TestSlowLayerAttribution:
         validator.fit(train_x, train_y)
         before = clock()
         with slow_layer(validator.validators[0], 1.5):  # no explicit clock
-            validator.engine().discrepancies(test_x[:8])
+            validator.discrepancies(test_x[:8])
         assert clock() - before == pytest.approx(1.5)
 
     def test_degraded_path_attributes_time_to_surviving_layers(

@@ -8,6 +8,7 @@ failure, recovery closes the breaker, and the degraded path on a
 fault-free replay is bit-identical to the normal path.
 """
 
+import pickle
 import warnings
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.core.resilience import (
     VALIDATED,
     CircuitBreaker,
     DegradedModeWarning,
-    DegradedScorer,
     InputGuard,
 )
 from repro.testing import (
@@ -59,7 +59,7 @@ _FRESH = [0]
 
 
 def fresh_images(count: int = 5) -> np.ndarray:
-    """Never-seen-before images, so scoring cannot hit the engine cache."""
+    """Never-seen-before images, so scoring cannot hit the score cache."""
     _FRESH[0] += 1
     return np.random.default_rng(10_000 + _FRESH[0]).random((count, 1, 12, 12))
 
@@ -184,7 +184,7 @@ class TestDegradedParity:
         monitor, _ = make_monitor(fitted_validator)
         images = fresh_images(8)
         verdicts = monitor.classify(images)
-        predictions, per_layer = fitted_validator.engine().discrepancies(images)
+        predictions, per_layer = fitted_validator.discrepancies(images)
         joints = fitted_validator.combine(per_layer)
         assert [v.prediction for v in verdicts] == [int(p) for p in predictions]
         for verdict, joint, row in zip(verdicts, joints, per_layer):
@@ -195,25 +195,48 @@ class TestDegradedParity:
 
     def test_degraded_combine_with_no_skips_defers_to_combine(self, fitted_validator):
         per_layer = np.random.default_rng(3).normal(size=(6, 3))
-        scorer = DegradedScorer(fitted_validator)
         np.testing.assert_array_equal(
-            scorer.combine(per_layer, frozenset()),
-            fitted_validator.combine(per_layer),
+            fitted_validator.combine(per_layer, frozenset()),
+            per_layer.sum(axis=1),
         )
 
     def test_degraded_sum_rescales_by_contributions(self, fitted_validator):
         per_layer = np.abs(np.random.default_rng(4).normal(size=(5, 3)))
-        scorer = DegradedScorer(fitted_validator)
-        contributions = scorer.contributions()
-        degraded = scorer.combine(per_layer, {1})
+        contributions = fitted_validator.layer_contributions
+        degraded = fitted_validator.combine(per_layer, {1})
         expected = per_layer[:, [0, 2]].sum(axis=1) * (
             contributions.sum() / contributions[[0, 2]].sum()
         )
         np.testing.assert_allclose(degraded, expected, rtol=1e-12)
 
+    def test_degraded_sum_without_calibration_rescales_uniformly(
+        self, fitted_validator
+    ):
+        per_layer = np.abs(np.random.default_rng(5).normal(size=(5, 3)))
+        uncalibrated = pickle.loads(pickle.dumps(fitted_validator))
+        uncalibrated.layer_contributions = None
+        np.testing.assert_allclose(
+            uncalibrated.combine(per_layer, {0}),
+            per_layer[:, [1, 2]].sum(axis=1) * 1.5,
+            rtol=1e-12,
+        )
+
+    def test_degraded_non_sum_combiners_use_surviving_columns(
+        self, fitted_validator
+    ):
+        per_layer = np.random.default_rng(6).normal(size=(5, 3))
+        validator = pickle.loads(pickle.dumps(fitted_validator))
+        expected = {
+            "mean": per_layer[:, [0, 1]].mean(axis=1),
+            "max": per_layer[:, [0, 1]].max(axis=1),
+            "last": per_layer[:, 1],
+        }
+        for combiner, want in expected.items():
+            validator.config = ValidatorConfig(nu=0.15, combiner=combiner)
+            np.testing.assert_array_equal(validator.combine(per_layer, {2}), want)
+
     def test_all_layers_skipped_yields_nan(self, fitted_validator):
-        scorer = DegradedScorer(fitted_validator)
-        joints = scorer.combine(np.zeros((4, 3)), {0, 1, 2})
+        joints = fitted_validator.combine(np.zeros((4, 3)), {0, 1, 2})
         assert np.isnan(joints).all()
 
     def test_calibration_records_contributions(self, fitted_validator):

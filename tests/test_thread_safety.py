@@ -4,7 +4,7 @@ These pin the headline bugfixes behind ``repro.serve``: the monitor's
 verdict tallies and breaker registry are lock-guarded (no lost counts,
 no double-registered breakers), breaker transitions fire exactly once
 under concurrent failures, ``health()`` snapshots are atomic, and the
-engine's LRU cache single-flights identical concurrent batches (the
+validator's score cache single-flights identical concurrent batches (the
 hit+miss accounting stays exact — no stampede, no phantom misses).
 
 Thread counts are hypothesis-driven (under the repo's deterministic
@@ -234,7 +234,7 @@ class TestMonitorHotSwap:
     ):
         images, _ = easy_image_task(12, seed=53)
         incumbent, candidate = self._generations(fitted_validator)
-        fitted_validator.engine().cache.clear()
+        fitted_validator.score_cache.clear()
         ref_incumbent = [
             incumbent.classify(images[i : i + 1])[0] for i in range(6)
         ]
@@ -269,7 +269,7 @@ class TestMonitorHotSwap:
     def test_rapid_swaps_never_tear_a_verdict(self, fitted_validator):
         images, _ = easy_image_task(24, seed=59)
         incumbent, candidate = self._generations(fitted_validator)
-        fitted_validator.engine().cache.clear()
+        fitted_validator.score_cache.clear()
         ref_a = [incumbent.classify(images[i : i + 1])[0] for i in range(24)]
         ref_b = [candidate.classify(images[i : i + 1])[0] for i in range(24)]
 
@@ -369,35 +369,86 @@ class TestCacheSingleFlight:
         assert outcomes.count("value") == 3
 
     def test_engine_stampede_single_forward_pass(self, fitted_validator):
-        engine = fitted_validator.engine()
-        engine.cache.clear()
+        validator = fitted_validator
+        validator.score_cache.clear()
         images, _ = easy_image_task(4, seed=41)
         computes = {"n": 0}
         lock = threading.Lock()
-        original = engine._compute
+        original = validator._compute
 
-        def counting(batch):
+        def counting(*args):
             with lock:
                 computes["n"] += 1
-            return original(batch)
+            return original(*args)
 
-        engine._compute = counting
+        validator._compute = counting
         barrier = threading.Barrier(6)
         results = []
 
         def worker():
             barrier.wait()
-            predictions, per_layer = engine.discrepancies(images)
+            predictions, per_layer = validator.discrepancies(images)
             with lock:
                 results.append((predictions, per_layer))
 
         try:
             _run_threads([worker] * 6)
         finally:
-            del engine._compute
+            del validator._compute
 
         assert computes["n"] == 1, "identical in-flight batches recomputed"
         reference = results[0]
         for predictions, per_layer in results[1:]:
             np.testing.assert_array_equal(predictions, reference[0])
             np.testing.assert_array_equal(per_layer, reference[1])
+
+    def test_followers_of_a_failed_leader_raise(self, fitted_validator):
+        # A resilient leader whose layer raised returns a faulty result with
+        # an error map; plain ``discrepancies`` callers that adopt it (or
+        # recompute after it) must raise, never see the NaN column.
+        validator = fitted_validator
+        validator.score_cache.clear()
+        images, _ = easy_image_task(4, seed=43)
+        entered, release = threading.Event(), threading.Event()
+        original = validator._compute
+
+        def gated(*args):
+            entered.set()
+            release.wait(timeout=30.0)
+            return original(*args)
+
+        leader_result, raised = [], []
+
+        def leader():
+            leader_result.append(validator.discrepancies_resilient(images))
+
+        def follower():
+            try:
+                validator.discrepancies(images)
+            except Exception as exc:  # noqa: BLE001 — the assertion target
+                raised.append(exc)
+
+        validator._compute = gated
+        try:
+            with fail_packed_scorer(validator.validators[0], count=-1):
+                leader_thread = threading.Thread(target=leader)
+                leader_thread.start()
+                assert entered.wait(timeout=30.0)
+                followers = [threading.Thread(target=follower) for _ in range(3)]
+                for thread in followers:
+                    thread.start()
+                time.sleep(0.2)  # let the followers block on the flight
+                release.set()
+                for thread in [leader_thread, *followers]:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+        finally:
+            release.set()
+            del validator._compute
+
+        (_, per_layer, errors), = leader_result
+        assert list(errors) == [0]
+        assert np.isnan(per_layer[:, 0]).all()
+        assert len(raised) == 3
+        assert all(type(exc).__name__ == "InjectedScorerError" for exc in raised)
+        assert len(validator.score_cache) == 0  # the faulty result was not kept
