@@ -8,8 +8,9 @@ per-layer discrepancies (Eq. 3).
 
 :class:`DeepValidator` is also the production scoring object. Its batched
 path (see ``docs/engine.md``) runs the forward pass once, scores each
-validated layer against every class at once through the layer's
-:class:`~repro.svm.packed.PackedClassSVMs`, and memoises results by a
+validated layer through the layer's
+:class:`~repro.svm.packed.PackedClassSVMs` (one GEMM per predicted-class
+group, against that class's support vectors only), and memoises results by a
 content hash of the input batch; the differential harness pins it against
 the paper-faithful per-class loop (:meth:`DeepValidator.reference_discrepancies`)
 at 1e-8.
@@ -256,18 +257,17 @@ class LayerValidator:
         predicted: np.ndarray,
         chunk_size: int | None = None,
     ) -> np.ndarray:
-        """Per-sample discrepancy via the stacked multi-class scorer.
+        """Per-sample discrepancy via the packed class-routed scorer.
 
         Numerically equivalent to :meth:`discrepancy` (the differential
-        harness pins agreement at 1e-8) but evaluates one Gram block
-        against every class's support vectors at once instead of looping
-        over predicted-class groups. ``chunk_size`` bounds the transient
-        kernel block's row count.
+        harness pins agreement at 1e-8) but scores each predicted-class
+        group with one GEMM against that class's pre-standardised support
+        vectors, with no per-class scaler pass. ``chunk_size`` bounds the
+        transient kernel block's row count.
         """
         pack = self.packed()
         if pack is None:
             return self.discrepancy(representations, predicted)
-        representations = np.asarray(representations, dtype=np.float64)
         predicted = np.asarray(predicted)
         if not self.config.per_class:
             predicted = np.zeros(len(predicted), dtype=np.int64)

@@ -1,21 +1,25 @@
-"""Packed multi-SVM scoring: every per-class SVM of a layer in one GEMM.
+"""Packed multi-SVM scoring: a layer's per-class SVMs, routed by class.
 
-The paper's detector keeps one one-class SVM per (layer, predicted class);
-scoring a batch through the naive path costs one kernel evaluation per
-class group — and in the runtime-monitor case (batch size 1) one full
-Python round-trip per image. This module folds a whole layer's per-class
-SVMs into stacked coefficient matrices so that scoring a minibatch against
-*every* class is a single matrix product plus segment-wise reductions,
-after which the per-sample discrepancy is a gather at the predicted label.
+The paper's detector keeps one one-class SVM per (layer, predicted class)
+and scores a sample against the SVM of its predicted class only
+(Algorithm 2, Eq. 2). Scoring a batch through the naive path costs a
+scaler transform, a kernel evaluation and a Python round trip per class
+group. This module stacks a layer's per-class SVMs into one coefficient
+matrix whose class segments are contiguous, with per-class
+standardisation folded into the rows. A batch is then grouped by predicted
+class, and each group is scored by one GEMM against its own class's
+segment, so no kernel value is computed against another class's support
+vectors.
 
-The algebraic trick that makes one GEMM possible despite *per-class*
-standardisation: each class scores queries as ``k((x - m_c) / s_c, v)``
-against support vectors ``v`` living in that class's scaled space. Mapping
-each support vector back to raw input space, ``u = m_c + s_c * v``, turns
+The algebraic trick that folds *per-class* standardisation into the rows:
+each class scores queries as ``k((x - m_c) / s_c, v)`` against support
+vectors ``v`` living in that class's scaled space. Mapping each support
+vector back to raw input space, ``u = m_c + s_c * v``, turns
 
 * the RBF's squared distance into a diagonally-weighted distance
-  ``sum_d (x_d - u_d)^2 / s_{c,d}^2``, which expands into two matrix
-  products shared across all classes; and
+  ``sum_d (x_d - u_d)^2 / s_{c,d}^2``, which expands into one matrix
+  product against precomputed rows, a per-row offset, and a per-sample
+  quadratic ``(x * x) . (gamma_c / s_c^2)``; and
 * the linear/polynomial inner product into ``x . (v / s_c) - m_c . (v / s_c)``,
   a single matrix product against precomputed rows plus a per-row offset.
 
@@ -39,7 +43,7 @@ from repro.svm.scaler import StandardScaler
 def _gemm_seconds():
     return obs.histogram(
         "svm_packed_gemm_seconds",
-        help="Stacked kernel-evaluation (augmented GEMM) wall time per chunk",
+        help="Class-routed kernel evaluation (per-class GEMMs) wall time per chunk",
     )
 
 
@@ -49,14 +53,14 @@ class PackedClassSVMs:
 
     ``M`` is the total support-vector count across classes and ``C`` the
     number of classes. Segment ``c`` of the stacked rows (delimited by
-    ``seg_starts``) holds class ``c``'s support vectors.
+    ``seg_starts``) holds class ``c``'s ``M_c`` support vectors; a sample
+    predicted ``c`` is scored against that segment only.
     """
 
     classes: np.ndarray        # (C,) sorted class ids
     kernel_name: str           # "rbf" | "linear" | "poly"
     seg_starts: np.ndarray     # (C,) first stacked row of each class segment
-    seg_class: np.ndarray      # (M,) class position of each stacked row
-    coef_rows: np.ndarray      # (M, d+1) kernel-specific row matrix, see below
+    coef_rows: np.ndarray      # (M, d+1) kernel rows [W | b], see pack_class_svms
     dual: np.ndarray           # (M,) dual coefficients alpha
     rho: np.ndarray            # (C,) offsets
     norm_w: np.ndarray         # (C,) hyperplane norms
@@ -81,47 +85,56 @@ class PackedClassSVMs:
             raise KeyError(f"no reference SVM for predicted class {missing}")
         return positions
 
+    def _segment(self, position: int) -> slice:
+        """Stacked rows of the class at ``position``."""
+        stop = (
+            self.seg_starts[position + 1]
+            if position + 1 < len(self.seg_starts)
+            else self.n_support
+        )
+        return slice(int(self.seg_starts[position]), int(stop))
+
     # -- scoring ---------------------------------------------------------------
 
-    def decision_matrix(self, features: np.ndarray) -> np.ndarray:
-        """Decision values of every sample against every class, shape (B, C).
+    def _kernel_block(self, position: int, features: np.ndarray) -> np.ndarray:
+        """Kernel values of ``features`` against one class's support vectors.
 
-        One GEMM against the stacked coefficient rows, an elementwise kernel
-        map, and a ``reduceat`` over class segments. All affine terms — the
-        ``-2 gamma x . (w * u)`` cross term, per-class constants, and the
-        linear/poly inner-product offsets — are pre-folded into an
-        augmented ``[x, 1]`` GEMM, and every subsequent operation mutates
-        the (B, M) block in place: at production batch sizes the block is
-        megabytes, and each avoided temporary is a full pass over memory.
+        One GEMM ``x @ W_c.T + b_c`` against the class's contiguous segment
+        of the stacked rows, shape ``(n, M_c)``, then the kernel map
+        applied in place so the block is the only temporary of its size.
         """
-        features = np.asarray(features, dtype=np.float64)
-        with obs.timed(_gemm_seconds()):
-            return self._decision_matrix(features)
-
-    def _decision_matrix(self, features: np.ndarray) -> np.ndarray:
-        augmented = np.empty((len(features), features.shape[1] + 1))
-        augmented[:, :-1] = features
-        augmented[:, -1] = 1.0
-        block = augmented @ self.coef_rows.T                # (B, M)
+        rows = self.coef_rows[self._segment(position)]
+        block = features @ rows[:, :-1].T
+        block += rows[:, -1]
         if self.kernel_name == "rbf":
-            # block now holds 2 gamma x.(w*u) - gamma u.(w*u); subtracting the
-            # gathered gamma x.(w*x) completes -gamma * sq_dist per class.
-            quad = (features * features) @ self.metric.T    # (B, C)
-            block -= quad[:, self.seg_class]
+            # block now holds 2 gamma x.(w*u) - gamma u.(w*u); subtracting
+            # gamma x.(w*x) completes -gamma * sq_dist.
+            block -= ((features * features) @ self.metric[position])[:, None]
             np.minimum(block, 0.0, out=block)               # sq_dist >= 0 clamp
             np.exp(block, out=block)
         elif self.kernel_name == "poly":
             # block holds gamma_c * (x_hat . v); finish (g i + coef0)^degree.
             block += self.coef0
             block **= self.degree
-        block *= self.dual[None, :]
-        decision = np.add.reduceat(block, self.seg_starts, axis=1)
-        decision -= self.rho[None, :]
-        return decision
+        return block
 
-    def signed_distance_matrix(self, features: np.ndarray) -> np.ndarray:
-        """Signed hyperplane distances of every sample against every class."""
-        return self.decision_matrix(features) / self.norm_w[None, :]
+    def _chunk_discrepancy(
+        self, features: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Discrepancies of one chunk, each row scored against its own class."""
+        out = np.empty(len(features))
+        order = np.argsort(positions, kind="stable")
+        grouped = positions[order]
+        bounds = np.flatnonzero(np.diff(grouped)) + 1
+        for rows in np.split(order, bounds):
+            position = int(positions[rows[0]])
+            # Gather the group before casting: one float64 pass, not two.
+            group = features[rows].astype(np.float64, copy=False)
+            block = self._kernel_block(position, group)
+            decision = block @ self.dual[self._segment(position)]
+            decision -= self.rho[position]
+            out[rows] = decision / -self.norm_w[position]
+        return out
 
     def discrepancy(
         self,
@@ -129,12 +142,14 @@ class PackedClassSVMs:
         predicted: np.ndarray,
         chunk_size: int | None = None,
     ) -> np.ndarray:
-        """Per-sample discrepancy ``-t^{y'}`` gathered at the predicted class.
+        """Per-sample discrepancy ``-t^{y'}`` against the predicted class.
 
-        ``chunk_size`` bounds the (chunk, M) kernel block held in memory;
-        ``None`` scores the whole batch in one shot.
+        Each chunk of at most ``chunk_size`` rows (``None``: the whole
+        batch) is grouped by predicted class, and each group is scored
+        only against its class's support vectors, so the transient kernel
+        block is at most ``chunk x M_c`` floats.
         """
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features)
         predicted = np.asarray(predicted)
         if len(features) != len(predicted):
             raise ValueError("features and predicted must have equal length")
@@ -147,10 +162,10 @@ class PackedClassSVMs:
         step = len(features) if chunk_size is None else max(1, chunk_size)
         for start in range(0, len(features), step):
             stop = start + step
-            distances = self.signed_distance_matrix(features[start:stop])
-            out[start:stop] = -distances[
-                np.arange(len(distances)), positions[start:stop]
-            ]
+            with obs.timed(_gemm_seconds()):
+                out[start:stop] = self._chunk_discrepancy(
+                    features[start:stop], positions[start:stop]
+                )
         return out
 
 
@@ -197,7 +212,7 @@ def pack_class_svms(
         raise ValueError("poly kernels must share degree and coef0 to be packed")
 
     dim = svms[int(classes[0])].support_vectors_.shape[1]
-    coef_rows, duals, seg_class = [], [], []
+    coef_rows, duals = [], []
     seg_starts = np.empty(len(classes), dtype=np.intp)
     rho = np.empty(len(classes))
     norm_w = np.empty(len(classes))
@@ -208,7 +223,7 @@ def pack_class_svms(
         svm = svms[int(klass)]
         vectors = svm.support_vectors_
         if len(vectors) == 0:
-            # reduceat cannot express an empty segment.
+            # Degenerate SVM: leave the layer to the reference path.
             raise ValueError(f"SVM for class {int(klass)} has no support vectors")
         scaler = scalers.get(int(klass))
         if scaler is not None and scaler.mean_ is not None:
@@ -222,22 +237,21 @@ def pack_class_svms(
             # -gamma * sq_dist decomposes into GEMM-foldable pieces:
             #   2 gamma x.(w*u)  -  gamma u.(w*u)  -  gamma x.(w*x)
             # with u = m + s*v (raw-space SV) and w = 1/s^2. The first two
-            # terms become the augmented rows here; the last is the
-            # per-class quadratic gathered at scoring time (``metric``).
+            # terms become the rows [W | b] here; the last is the
+            # per-class quadratic subtracted at scoring time (``metric``).
             weights = gamma / scale**2
             raw = mean[None, :] + scale[None, :] * vectors
             rows[:, :-1] = 2.0 * weights[None, :] * raw
             rows[:, -1] = -np.einsum("md,d,md->m", raw, weights, raw)
             metric[position] = weights
         else:
-            # gamma_c * (x_hat . v) = x . (g v/s) - g m.(v/s), one GEMM row.
+            # gamma_c * (x_hat . v) = x . (g v/s) - g m.(v/s): a row [W | b].
             scaled = vectors / scale[None, :]
             rows[:, :-1] = gamma * scaled
             rows[:, -1] = -gamma * (scaled @ mean)
         coef_rows.append(rows)
         duals.append(svm.dual_coef_)
         seg_starts[position] = offset
-        seg_class.append(np.full(len(vectors), position, dtype=np.intp))
         rho[position] = svm.rho_
         norm_w[position] = svm.norm_w_
         offset += len(vectors)
@@ -246,7 +260,6 @@ def pack_class_svms(
         classes=classes,
         kernel_name=kernel_name,
         seg_starts=seg_starts,
-        seg_class=np.concatenate(seg_class),
         coef_rows=np.concatenate(coef_rows, axis=0),
         dual=np.concatenate(duals),
         rho=rho,

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 
+pytestmark = pytest.mark.engine
+
 TOLERANCE = 1e-8
 
 

@@ -69,5 +69,6 @@ def test_expected_tier2_markers_exist():
         "chaos",
         "rollout",
         "infer",
+        "engine",
     }
     assert expected <= _registered_markers()
