@@ -6,21 +6,36 @@ kernels (conv-as-GEMM, pooling, eval batch norm, activations, dense) with
 no ``Tensor`` construction, tape closures, or per-op object churn. The
 resulting :class:`InferencePlan` replays that sequence per chunk, reusing
 im2col columns, padded staging, GEMM outputs, and pooling scratch through a
-:class:`~repro.infer.workspace.WorkspacePool`, and writes every probe
+:class:`~repro.infer.workspace.WorkspacePool`, and copies every probe
 *directly* into the flattened ``(N, features)`` layout the packed SVM
 scorer consumes — the reshape copy between model and validator scoring
-disappears.
+disappears. The next stage reads the step's own (usually channel-major)
+result, not the probe, so no layout round trip sits between stages.
+
+Execution order
+---------------
+The plan's spatial prefix — the stages before the first one holding a
+``Flatten``, ``Dense``, ``Softmax`` or ``GlobalAvgPool2d`` — runs
+depth-first in :data:`TILE`-image tiles: each tile passes through every
+prefix stage on tile-sized workspace buffers, and each stage's result is
+copied into the tile's rows of the stage's ``(N, features)`` output.
+The remaining stages then run on the whole chunk. A chunk is tiled only
+when its width is a multiple of :data:`TILE` and larger than it; any
+other width runs as one tile through the same code.
 
 Determinism contract
 --------------------
 A plan's chunk outputs are **bit-identical** to the Tensor path's for the
 same chunking: same op order, same operand dtypes (including the float64
 promotions the Tensor path incurs from 0-d scalar wrapping in batch norm
-and global average pooling), same reduction layouts. Steps read module
-parameters (``module.weight.data``) at call time, so in-place optimizer
-updates and ``load_state_dict`` are always visible — a plan caches
-*structure*, never weights. ``tests/test_infer_differential.py`` pins the
-contract across the zoo and hypothesis-generated geometries.
+and global average pooling), same reduction layouts. Tiling keeps every
+conv GEMM column in the same position modulo 32, so no column moves
+between the BLAS kernel's block and tail paths (docs/inference.md).
+Steps read module parameters (``module.weight.data``) at call time, so
+in-place optimizer updates and ``load_state_dict`` are always visible — a
+plan caches *structure*, never weights. ``tests/test_infer_differential.py``
+and ``tests/test_infer_tiling.py`` pin the contract across the zoo,
+hypothesis-generated geometries, and tiled and untiled chunk widths.
 """
 
 from __future__ import annotations
@@ -90,21 +105,13 @@ class Step:
     the caller's :class:`WorkspacePool`.
     """
 
-    def out_spec(self, x):
-        """``(shape, dtype)`` of the output for input ``x``.
-
-        ``None`` marks a view/pass-through step that cannot write into a
-        caller-provided buffer (its output aliases its input).
-        """
-        raise NotImplementedError
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         """Execute the step on ``x``.
 
-        With ``out`` (a contiguous buffer of exactly :meth:`out_spec`'s
-        shape/dtype) the result is written in place; without it, the step
-        may return a pooled buffer or a view — valid only until the next
-        chunk.
+        The result may be a pooled buffer or a view of one — often a
+        channel-major layout viewed as NCHW — valid only until the step
+        runs again on this thread. The plan copies what it hands to
+        callers out of it.
         """
         raise NotImplementedError
 
@@ -116,22 +123,11 @@ class ConvStep(Step):
         self.key = key
         self.module = module
 
-    def _geometry(self, x):
+    def run(self, x, ws: WorkspacePool):
         m = self.module
         batch, _, height, width = x.shape
         out_h = conv_output_size(height, m.kernel, m.stride, m.pad)
         out_w = conv_output_size(width, m.kernel, m.stride, m.pad)
-        return batch, out_h, out_w
-
-    def out_spec(self, x):
-        m = self.module
-        batch, out_h, out_w = self._geometry(x)
-        dtype = np.result_type(x.dtype, m.weight.data.dtype)
-        return (batch, m.out_channels, out_h, out_w), dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
-        m = self.module
-        batch, out_h, out_w = self._geometry(x)
         weight = m.weight.data
         filters = weight.shape[0]
         cols = im2col_pooled(x, m.kernel, m.stride, m.pad, ws, (self.key,))
@@ -148,10 +144,7 @@ class ConvStep(Step):
             # operands as the Tensor path's post-transpose broadcast add,
             # so results are bit-identical — but the loop runs contiguous.
             np.add(gemm, m.bias.data.reshape(filters, 1), out=gemm)
-        view = gemm.reshape(filters, out_h, out_w, batch).transpose(3, 0, 1, 2)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        return gemm.reshape(filters, out_h, out_w, batch).transpose(3, 0, 1, 2)
 
 
 class DenseStep(Step):
@@ -161,20 +154,14 @@ class DenseStep(Step):
         self.key = key
         self.module = module
 
-    def out_spec(self, x):
-        m = self.module
-        dtype = np.result_type(x.dtype, m.weight.data.dtype, m.bias.data.dtype)
-        return (x.shape[0], m.out_features), dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         m = self.module
         weight, bias = m.weight.data, m.bias.data
-        if out is None:
-            out = ws.scratch(
-                (self.key, "out"),
-                (x.shape[0], weight.shape[1]),
-                np.result_type(x.dtype, weight.dtype, bias.dtype),
-            )
+        out = ws.scratch(
+            (self.key, "out"),
+            (x.shape[0], weight.shape[1]),
+            np.result_type(x.dtype, weight.dtype, bias.dtype),
+        )
         np.matmul(x, weight, out=out)
         np.add(out, bias, out=out)
         return out
@@ -186,25 +173,13 @@ class ReluStep(Step):
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def out_spec(self, x):
-        return x.shape, x.dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         pooled = _pooled_like(x, ws, (self.key, "out"))
         if pooled is None:
-            result = np.maximum(x, 0.0)
-            if out is None:
-                return result
-            return write_nchw(out, result)
+            return np.maximum(x, 0.0)
         source, dest, view = pooled
-        # Compute on the contiguous base, then (stage tails only) pay the
-        # one layout materialisation the probe needs as a tiled copy — the
-        # Tensor path pays the same transpose in its probe reshape-copy,
-        # untiled.
         np.maximum(source, 0.0, out=dest)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        return view
 
 
 class TanhStep(Step):
@@ -213,21 +188,13 @@ class TanhStep(Step):
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def out_spec(self, x):
-        return x.shape, x.dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         pooled = _pooled_like(x, ws, (self.key, "out"))
         if pooled is None:
-            result = np.tanh(x)
-            if out is None:
-                return result
-            return write_nchw(out, result)
+            return np.tanh(x)
         source, dest, view = pooled
         np.tanh(source, out=dest)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        return view
 
 
 class SoftmaxStep(Step):
@@ -236,12 +203,8 @@ class SoftmaxStep(Step):
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def out_spec(self, x):
-        return x.shape, x.dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
-        if out is None:
-            out = ws.scratch((self.key, "out"), x.shape, x.dtype)
+    def run(self, x, ws: WorkspacePool):
+        out = ws.scratch((self.key, "out"), x.shape, x.dtype)
         np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
         np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
@@ -261,10 +224,7 @@ class FlattenStep(Step):
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def out_spec(self, x):
-        return None
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         flat = x.reshape(x.shape[0], _prod(x.shape[1:]))
         if flat.flags.c_contiguous:
             return flat
@@ -279,10 +239,7 @@ class PassStep(Step):
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def out_spec(self, x):
-        return None
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         return x
 
 
@@ -294,21 +251,9 @@ class MaxPoolStep(Step):
         self.kernel = kernel
         self.stride = stride
 
-    def _geometry(self, x):
-        batch, channels, height, width = x.shape
-        out_h = conv_output_size(height, self.kernel, self.stride, 0)
-        out_w = conv_output_size(width, self.kernel, self.stride, 0)
-        return batch, channels, out_h, out_w
-
-    def out_spec(self, x):
-        return self._geometry(x), x.dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         acc = max_pool_fold(x, self.kernel, self.stride, ws, (self.key,))
-        view = acc.transpose(3, 0, 1, 2)
-        if out is None:
-            return view
-        return write_nchw(out, view)
+        return acc.transpose(3, 0, 1, 2)
 
 
 class AvgPoolStep(Step):
@@ -319,25 +264,14 @@ class AvgPoolStep(Step):
         self.kernel = kernel
         self.stride = stride
 
-    def _geometry(self, x):
+    def run(self, x, ws: WorkspacePool):
         batch, channels, height, width = x.shape
         out_h = conv_output_size(height, self.kernel, self.stride, 0)
         out_w = conv_output_size(width, self.kernel, self.stride, 0)
-        return batch, channels, out_h, out_w
-
-    def out_spec(self, x):
-        return self._geometry(x), x.dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
-        batch, channels, out_h, out_w = self._geometry(x)
         cols = pool_cols_pooled(x, self.kernel, self.stride, ws, (self.key,))
         mean = ws.scratch((self.key, "mean"), (cols.shape[1],), cols.dtype)
         np.mean(cols, axis=0, out=mean)
-        view = mean.reshape(out_h, out_w, channels, batch).transpose(3, 2, 0, 1)
-        if out is None:
-            return view
-        out[...] = view
-        return out
+        return mean.reshape(out_h, out_w, channels, batch).transpose(3, 2, 0, 1)
 
 
 class GlobalAvgPoolStep(Step):
@@ -346,18 +280,14 @@ class GlobalAvgPoolStep(Step):
     def __init__(self, key: str) -> None:
         self.key = key
 
-    def out_spec(self, x):
-        return (x.shape[0], x.shape[1]), np.result_type(x.dtype, np.float64)
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         height, width = x.shape[2], x.shape[3]
         summed = x.sum(axis=(2, 3))
-        if out is None:
-            out = ws.scratch(
-                (self.key, "out"),
-                summed.shape,
-                np.result_type(summed.dtype, np.float64),
-            )
+        out = ws.scratch(
+            (self.key, "out"),
+            summed.shape,
+            np.result_type(summed.dtype, np.float64),
+        )
         np.multiply(summed, np.asarray(1.0 / (height * width)), out=out)
         return out
 
@@ -369,14 +299,8 @@ class BatchNormStep(Step):
         self.key = key
         self.module = module
 
-    def out_spec(self, x):
-        return x.shape, np.result_type(x.dtype, np.float64)
-
-    def run(self, x, ws: WorkspacePool, out=None):
-        result = batchnorm_eval(x, self.module)
-        if out is None:
-            return result
-        return write_nchw(out, result)
+    def run(self, x, ws: WorkspacePool):
+        return batchnorm_eval(x, self.module)
 
 
 class DenseLayerStep(Step):
@@ -387,17 +311,15 @@ class DenseLayerStep(Step):
         self.module = module
         self.conv = ConvStep(f"{key}.conv", module.conv)
 
-    def out_spec(self, x):
-        batch, channels, height, width = x.shape
-        dtype = np.result_type(x.dtype, np.float64)
-        return (batch, channels + self.module.growth, height, width), dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         new = batchnorm_eval(self.conv.run(x, ws), self.module.bn)
         np.maximum(new, 0.0, out=new)
-        if out is None:
-            shape, dtype = self.out_spec(x)
-            out = ws.scratch((self.key, "out"), shape, dtype)
+        batch, channels, height, width = x.shape
+        out = ws.scratch(
+            (self.key, "out"),
+            (batch, channels + self.module.growth, height, width),
+            np.result_type(x.dtype, np.float64),
+        )
         np.concatenate([x, new], axis=1, out=out)
         return out
 
@@ -411,17 +333,10 @@ class TransitionStep(Step):
         self.conv = ConvStep(f"{key}.conv", module.conv)
         self.pool = AvgPoolStep(f"{key}.pool", kernel=2, stride=2)
 
-    def out_spec(self, x):
-        batch, _, height, width = x.shape  # the 1x1 conv preserves spatial size
-        out_h = conv_output_size(height, 2, 2, 0)
-        out_w = conv_output_size(width, 2, 2, 0)
-        dtype = np.result_type(x.dtype, np.float64)
-        return (batch, self.module.out_channels, out_h, out_w), dtype
-
-    def run(self, x, ws: WorkspacePool, out=None):
+    def run(self, x, ws: WorkspacePool):
         pre = batchnorm_eval(self.conv.run(x, ws), self.module.bn)
         np.maximum(pre, 0.0, out=pre)
-        return self.pool.run(pre, ws, out=out)
+        return self.pool.run(pre, ws)
 
 
 # -- compilation ----------------------------------------------------------------
@@ -490,6 +405,26 @@ def compile_plan(model) -> "InferencePlan":
 
 # -- execution ------------------------------------------------------------------
 
+#: Images per depth-first tile of a plan's spatial prefix. Chunks whose
+#: width is a multiple of this (and larger) run their conv stages one tile
+#: at a time; see docs/inference.md for why the multiple keeps results
+#: bit-identical.
+TILE = 32
+
+#: Steps that end a plan's spatial prefix: the first stage holding one of
+#: these, and every stage after it, runs on the whole chunk.
+_TAIL_STEPS = (FlattenStep, DenseStep, SoftmaxStep, GlobalAvgPoolStep)
+
+
+def _spatial_prefix(stages: list[tuple[str, list]]) -> int:
+    """How many leading non-final stages are per-image spatial stages."""
+    count = 0
+    for _, steps in stages[:-1]:
+        if any(isinstance(step, _TAIL_STEPS) for step in steps):
+            break
+        count += 1
+    return count
+
 
 class InferencePlan:
     """A compiled forward: per-stage step lists plus a workspace pool.
@@ -501,6 +436,7 @@ class InferencePlan:
 
     def __init__(self, stages: list[tuple[str, list]]) -> None:
         self.stages = stages
+        self.spatial = _spatial_prefix(stages)
         self.workspace = WorkspacePool()
 
     @property
@@ -540,31 +476,59 @@ class InferencePlan:
         return np.concatenate(outputs, axis=0)
 
     def _forward_chunk(self, chunk: np.ndarray, want_probes: bool):
-        ws = self.workspace
+        # The spatial prefix runs depth-first, one TILE of images at a time,
+        # so each conv's im2col columns and GEMM output stay tile-sized; the
+        # dense tail then runs on the whole chunk. Widths that are not a
+        # larger multiple of TILE run as a single tile.
         batch = len(chunk)
-        x = chunk
-        probes: list[np.ndarray] = []
         final = len(self.stages) - 1
-        for position, (_, steps) in enumerate(self.stages):
-            for step in steps[:-1]:
+        width = TILE if batch > TILE and batch % TILE == 0 else batch
+        # Full-width (N, features) stage outputs, allocated on first write.
+        outputs: list = [None] * len(self.stages)
+        x = chunk
+        if self.spatial:
+            prefix = range(self.spatial)
+            for lo in range(0, batch, width):
+                tile = chunk[lo : lo + width]
+                x = self._run_stages(tile, prefix, lo, batch, outputs, want_probes)
+            x = outputs[self.spatial - 1].reshape((batch, *x.shape[1:]))
+        x = self._run_stages(
+            x, range(self.spatial, final + 1), 0, batch, outputs, want_probes
+        )
+        return x, (outputs[:final] if want_probes else [])
+
+    def _run_stages(
+        self, x, positions, lo: int, batch: int, outputs: list, want_probes: bool
+    ):
+        """Run the stages at ``positions`` on rows ``[lo, lo + len(x))`` of a chunk.
+
+        A kept stage output is copied into its rows of the stage's
+        full-width ``(N, features)`` buffer — fused probe extraction, one
+        tiled transpose per probe (``write_nchw``). Kept are the probes
+        (when wanted) and the final probabilities, both freshly allocated
+        as they are handed to the caller, and the last spatial stage's
+        output, the tail's whole-chunk input, which otherwise lives in the
+        workspace. The next stage reads the step's own result, usually a
+        channel-major view, so no layout round trip sits between stages.
+        """
+        ws = self.workspace
+        hi = lo + len(x)
+        final = len(self.stages) - 1
+        for position in positions:
+            name, steps = self.stages[position]
+            for step in steps:
                 x = step.run(x, ws)
-            last = steps[-1]
-            is_final = position == final
-            if not (is_final or want_probes):
-                x = last.run(x, ws)
+            handed_out = want_probes or position == final
+            if not (handed_out or position == self.spatial - 1):
                 continue
-            spec = last.out_spec(x)
-            if spec is not None:
-                shape, dtype = spec
-                # Fused probe extraction: the stage tail writes straight
-                # into the flattened (N, features) buffer the scorer reads.
-                flat = np.empty((shape[0], _prod(shape[1:])), dtype=dtype)
-                x = last.run(x, ws, out=flat.reshape(shape))
-            else:
-                x = last.run(x, ws)
-                flat = x.reshape(batch, -1).copy()
-                x = flat.reshape(x.shape)
-            if is_final:
-                return x, probes
-            probes.append(flat)
-        raise RuntimeError("plan has no stages")  # unreachable: ctor enforces >= 2
+            if outputs[position] is None:
+                shape = (batch, _prod(x.shape[1:]))
+                outputs[position] = (
+                    np.empty(shape, dtype=x.dtype)
+                    if handed_out
+                    else ws.scratch((name, "full"), shape, x.dtype)
+                )
+            rows = write_nchw(outputs[position][lo:hi].reshape(x.shape), x)
+            if position == final:
+                x = rows
+        return x

@@ -145,13 +145,20 @@ class WorkspacePool:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Hit/miss/buffer accounting aggregated across all threads."""
+        """Hit/miss/buffer accounting aggregated across all threads.
+
+        ``bytes`` is the scratch memory the pool retains: the summed size
+        of every thread's buffers.
+        """
         with self._lock:
             pools = list(self._pools)
         return {
             "hits": sum(p.hits for p in pools),
             "misses": sum(p.misses for p in pools),
             "buffers": sum(len(p.buffers) for p in pools),
+            "bytes": sum(
+                buf.nbytes for p in pools for buf in list(p.buffers.values())
+            ),
             "threads": len(pools),
         }
 

@@ -153,12 +153,32 @@ class ProbedSequential(Module):
             images = images.astype(np.float32)
         return images
 
+    def _empty_outputs(self, images: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(probabilities, reps)`` shaped ``(0, C)`` / ``(0, F)`` for a zero-image batch.
+
+        No chunk runs on an empty batch, but callers still need correctly
+        shaped arrays; one Tensor forward over the empty batch recovers
+        every output width.
+        """
+        self.eval()
+        with no_grad():
+            out, probes = self.forward_probes(Tensor(self._as_float32(images)))
+        return (
+            out.data,
+            [
+                probe.data.reshape(0, int(np.prod(probe.shape[1:], dtype=np.int64)))
+                for probe in probes
+            ],
+        )
+
     def predict_proba(
         self, images: np.ndarray, batch_size: int = 256, compiled: bool | None = None
     ) -> np.ndarray:
         """Class probabilities for a batch of images, without tape recording."""
         self.eval()
         plan = self._inference_plan(compiled)
+        if len(images) == 0:
+            return self._empty_outputs(images)[0]
         if plan is not None:
             return plan.predict_proba(images, batch_size=batch_size)
         images = self._as_float32(images)
@@ -242,19 +262,7 @@ class ProbedSequential(Module):
             for slot, probe in zip(reps, probes):
                 slot.append(probe)
         if not probs:
-            # Zero-image batch: the chunk loop never ran, but callers still
-            # need correctly-shaped (0, C) / (0, F) arrays. One forward over
-            # the empty batch recovers every output width.
-            self.eval()
-            with no_grad():
-                out, probes = self.forward_probes(Tensor(self._as_float32(images)))
-            return (
-                out.data,
-                [
-                    probe.data.reshape(0, int(np.prod(probe.shape[1:], dtype=np.int64)))
-                    for probe in probes
-                ],
-            )
+            return self._empty_outputs(images)
         return (
             np.concatenate(probs, axis=0),
             [np.concatenate(slot, axis=0) for slot in reps],

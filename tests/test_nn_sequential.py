@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import infer
 from repro.autograd import Tensor
 from repro.nn import (
     Dense,
@@ -104,3 +105,17 @@ class TestProbedSequential:
             model.predict_proba(images, batch_size=100),
             atol=1e-6,
         )
+
+    @pytest.mark.parametrize("plan", [True, False], ids=["plan", "tape"])
+    def test_empty_batch_predictions(self, plan):
+        model = make_tiny_model()
+        empty = np.zeros((0, 1, 12, 12), np.float32)
+        infer.set_plan_enabled(plan)
+        try:
+            probs = model.predict_proba(empty, compiled=plan)
+            labels = model.predict(empty)
+        finally:
+            infer.set_plan_enabled(None)
+        assert probs.shape == (0, 3)
+        assert probs.dtype == model.predict_proba(np.zeros((1, 1, 12, 12))).dtype
+        assert labels.shape == (0,)
