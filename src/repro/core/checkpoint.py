@@ -327,7 +327,12 @@ class TaskJournal:
                 yield pickle.loads(payload)
 
     def __len__(self) -> int:
-        return len(self.replay())
+        """Intact records, header excluded (not counted as replayed)."""
+        return sum(
+            1
+            for index, record in enumerate(self._iter_frames())
+            if not (index == 0 and self._is_header(record))
+        )
 
     def clear(self) -> bool:
         """Delete the journal file; returns whether one existed."""

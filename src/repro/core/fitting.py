@@ -59,12 +59,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.obs.profile import profile_section
 from repro.svm.oneclass import OneClassSVM
 from repro.svm.scaler import StandardScaler
 from repro.utils.cache import hash_array
 from repro.utils.rng import new_rng
 from repro.utils.warnings_ import emit_warning
+
+
+def _stage_histogram(stage: str):
+    return obs.histogram(
+        "profile_stage_seconds",
+        help="Wall-clock seconds spent in profiled stages",
+        labels=("stage",),
+    ).labels(stage=stage)
 
 
 def _tasks_counter():
@@ -177,17 +184,21 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     return int(n_jobs)
 
 
-def default_fit_jobs(cap: int = 4) -> int:
+#: Default fit worker cap: fit parallelism saturates quickly on the small
+#: per-task Grams the paper's settings produce.
+DEFAULT_FIT_JOBS_CAP = 4
+
+
+def default_fit_jobs() -> int:
     """Worker count for callers without an explicit knob.
 
     Honours the ``REPRO_FIT_JOBS`` environment variable, otherwise the
-    usable core count capped at ``cap`` (fit parallelism saturates quickly
-    on the small per-task Grams the paper's settings produce).
+    usable core count capped at :data:`DEFAULT_FIT_JOBS_CAP`.
     """
     env = os.environ.get("REPRO_FIT_JOBS")
     if env is not None:
         return resolve_n_jobs(int(env))
-    return min(cap, resolve_n_jobs(-1))
+    return min(DEFAULT_FIT_JOBS_CAP, resolve_n_jobs(-1))
 
 
 # -- stage 1: planning ---------------------------------------------------------
@@ -455,7 +466,7 @@ def solve_tasks(
     ordered = sorted(task_features)
     solutions: dict = {}
     with obs.span("fit.solve_tasks", tasks=len(ordered), n_jobs=n_jobs), \
-            profile_section("fit.solve"):
+            obs.timed(_stage_histogram("fit.solve")):
         if journal is not None:
             replayed = _replay_journal(journal, task_features, cfg)
             if replayed:
@@ -583,9 +594,9 @@ def fit_deep_validator(
     with obs.span(
         "fit.pipeline", layers=len(layer_indices), images=len(images)
     ):
-        with profile_section("fit.plan"):
+        with obs.timed(_stage_histogram("fit.plan")):
             tasks = plan_fit_tasks(labels, layer_positions, config)
-        with profile_section("fit.extract"):
+        with obs.timed(_stage_histogram("fit.extract")):
             task_features = extract_task_features(
                 model, images, tasks, chunk_size=chunk_size
             )

@@ -213,15 +213,20 @@ class RuntimeMonitor:
             return validators[position].layer_name
         return f"layer{position}"
 
-    def _quarantine_verdict(self, reason: str) -> ValidationVerdict:
+    def unscored_verdict(
+        self, status: str, reason: str, detail: dict | None = None
+    ) -> ValidationVerdict:
+        """A verdict for an input that was never scored: prediction ``-1``,
+        NaN discrepancies, not accepted."""
         n_layers = max(len(self.validator.validators), 1)
         return ValidationVerdict(
             prediction=-1,
             joint_discrepancy=float("nan"),
             per_layer=np.full(n_layers, np.nan),
             accepted=False,
-            status=resilience.QUARANTINED,
+            status=status,
             reason=reason,
+            detail=detail,
         )
 
     def _finish(self, verdict: ValidationVerdict) -> ValidationVerdict:
@@ -259,7 +264,11 @@ class RuntimeMonitor:
             span.set(batch=report.count)
             if report.batch_reason is not None:
                 return [
-                    self._finish(self._quarantine_verdict(report.batch_reason))
+                    self._finish(
+                        self.unscored_verdict(
+                            resilience.QUARANTINED, report.batch_reason
+                        )
+                    )
                     for _ in range(report.count)
                 ]
             batch = report.images
@@ -271,7 +280,9 @@ class RuntimeMonitor:
                 if index in report.sample_reasons:
                     verdicts.append(
                         self._finish(
-                            self._quarantine_verdict(report.sample_reasons[index])
+                            self.unscored_verdict(
+                                resilience.QUARANTINED, report.sample_reasons[index]
+                            )
                         )
                     )
                 else:
@@ -300,8 +311,9 @@ class RuntimeMonitor:
                 DegradedModeWarning,
             )
             return [
-                self._quarantine_verdict(
-                    f"scoring failed: {type(exc).__name__}: {exc}"
+                self.unscored_verdict(
+                    resilience.QUARANTINED,
+                    f"scoring failed: {type(exc).__name__}: {exc}",
                 )
                 for _ in range(len(images))
             ]
@@ -339,7 +351,9 @@ class RuntimeMonitor:
                     DegradedModeWarning,
                 )
                 return [
-                    self._quarantine_verdict("no healthy layer validators")
+                    self.unscored_verdict(
+                        resilience.QUARANTINED, "no healthy layer validators"
+                    )
                     for _ in range(len(images))
                 ]
             emit_warning(

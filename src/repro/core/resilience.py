@@ -82,6 +82,11 @@ class GuardReport:
         return mask
 
 
+#: Numpy dtype kinds :class:`InputGuard` accepts: floats, signed and
+#: unsigned ints, bools. Object/string batches are rejected.
+ALLOWED_KINDS = "fiub"
+
+
 class InputGuard:
     """Serving-contract checks applied before any forward pass.
 
@@ -92,27 +97,21 @@ class InputGuard:
     value_range:
         Inclusive ``(low, high)`` bounds on pixel values; ``None`` skips
         the check.
-    require_finite:
-        Quarantine samples containing NaN or Inf (the default — a NaN
-        pixel otherwise poisons every downstream activation).
-    allowed_kinds:
-        Accepted numpy dtype kinds (default: floats, ints, unsigned ints,
-        bools). Object/string batches are rejected wholesale.
+
+    Samples containing NaN or Inf are always quarantined (a NaN pixel
+    otherwise poisons every downstream activation), and a batch whose
+    dtype kind is not in :data:`ALLOWED_KINDS` is rejected wholesale.
     """
 
     def __init__(
         self,
         expected_shape: tuple[int, ...] | None = None,
         value_range: tuple[float, float] | None = None,
-        require_finite: bool = True,
-        allowed_kinds: str = "fiub",
     ) -> None:
         if value_range is not None and value_range[0] > value_range[1]:
             raise ValueError(f"value_range low > high: {value_range}")
         self.expected_shape = tuple(expected_shape) if expected_shape else None
         self.value_range = value_range
-        self.require_finite = require_finite
-        self.allowed_kinds = allowed_kinds
 
     def inspect(self, images) -> GuardReport:
         """Check a batch against the contract; never raises on bad input.
@@ -129,7 +128,7 @@ class InputGuard:
             return GuardReport(
                 None, 1, batch_reason=f"input not convertible to an array: {exc}"
             )
-        if array.dtype.kind not in self.allowed_kinds:
+        if array.dtype.kind not in ALLOWED_KINDS:
             count = len(array) if array.ndim >= 1 else 1
             return GuardReport(
                 None, max(count, 1),
@@ -153,10 +152,9 @@ class InputGuard:
             )
         reasons: dict[int, str] = {}
         if len(array) and array.dtype.kind == "f":
-            if self.require_finite:
-                finite = np.isfinite(array.reshape(len(array), -1)).all(axis=1)
-                for index in np.flatnonzero(~finite):
-                    reasons[int(index)] = "non-finite pixel values (NaN/Inf)"
+            finite = np.isfinite(array.reshape(len(array), -1)).all(axis=1)
+            for index in np.flatnonzero(~finite):
+                reasons[int(index)] = "non-finite pixel values (NaN/Inf)"
         if len(array) and self.value_range is not None:
             low, high = self.value_range
             flat = array.reshape(len(array), -1)

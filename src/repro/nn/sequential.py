@@ -263,6 +263,9 @@ class ProbedSequential(Module):
                 slot.append(probe)
         if not probs:
             return self._empty_outputs(images)
+        if len(probs) == 1:
+            # One chunk: its arrays are freshly allocated, hand them over.
+            return probs[0], [slot[0] for slot in reps]
         return (
             np.concatenate(probs, axis=0),
             [np.concatenate(slot, axis=0) for slot in reps],

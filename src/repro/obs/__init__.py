@@ -1,13 +1,11 @@
-"""Observability for the validation stack: metrics, tracing, profiling.
+"""Observability for the validation stack: metrics and tracing.
 
 This package is the single seam every instrumented hot path goes through:
 
 * :mod:`repro.obs.metrics` — thread-safe Counter/Gauge/Histogram families
   in a :class:`MetricsRegistry`, with Prometheus-text and JSON exporters;
 * :mod:`repro.obs.tracing` — :class:`Span`/:class:`Tracer` with an
-  injectable monotonic clock and a deterministic in-memory exporter;
-* :mod:`repro.obs.profile` — ``@profiled`` / ``profile_section`` wall-time
-  histograms per pipeline stage.
+  injectable monotonic clock and a deterministic in-memory exporter.
 
 Call sites use the module-level helpers, which bind to the *current*
 process-wide registry and tracer::
@@ -18,20 +16,22 @@ process-wide registry and tracer::
         result="hit").inc()
     with obs.span("monitor.classify", batch=len(images)):
         ...
+    with obs.timed(obs.histogram("fit_plan_seconds")):
+        ...
 
 **Kill switch.** Setting ``REPRO_OBS=0`` in the environment turns every
 helper into a no-op: ``counter``/``gauge``/``histogram`` hand back a shared
-null metric, ``span``/``profile_section`` a shared null context. Nothing is
+null metric, ``span``/``timed`` a shared null context. Nothing is
 recorded, no clock is read, and the instrumented code's numeric outputs are
 bit-identical to the instrumented run (pinned by the golden-trace suite in
 ``tests/test_obs_integration.py``). The flag is read once and cached;
 :func:`set_enabled` overrides it at runtime (``None`` re-reads the
 environment).
 
-**Retention.** The default tracer times spans (``timed`` and the
-profiling helpers read its clock) but discards them once finished; a
-:class:`Tracer` built by a caller keeps its in-memory exporter, so install
-one with :func:`use` or :func:`set_tracer` to read spans back.
+**Retention.** The default tracer times spans (``timed`` reads its clock
+too) but discards them once finished; a :class:`Tracer` built by a caller
+keeps its in-memory exporter, so install one with :func:`use` or
+:func:`set_tracer` to read spans back.
 
 **Test isolation.** :func:`use` swaps in a scoped registry/tracer (and
 optionally forces the switch) for a ``with`` block, so golden-trace tests
@@ -54,7 +54,6 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.profile import profile_section, profiled
 from repro.obs.tracing import InMemorySpanExporter, ManualClock, Span, Tracer
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
     "Tracer",
     "InMemorySpanExporter",
     "ManualClock",
-    "profile_section",
-    "profiled",
     "enabled",
     "set_enabled",
     "get_registry",
@@ -82,7 +79,6 @@ __all__ = [
     "histogram",
     "span",
     "timed",
-    "clock",
     "ENV_SWITCH",
 ]
 
@@ -280,14 +276,3 @@ def timed(series):
         return _NULL_SPAN_CONTEXT
     return _timed_observe(series)
 
-
-def clock() -> float:
-    """The current tracer's clock reading (0.0 when observability is off).
-
-    Instrumentation that times sections inline should prefer
-    :func:`profile_section`; this exists for call sites that need the raw
-    time source (e.g. to stamp a snapshot).
-    """
-    if not enabled():
-        return 0.0
-    return get_tracer().clock()

@@ -82,6 +82,10 @@ ROLLOUT_STATE_CODES = {IDLE: 0, SHADOW: 1, PROMOTED: 2, ROLLED_BACK: 3}
 #: Monitor statuses that carry a real (comparable) joint discrepancy.
 _SCORED = (resilience.VALIDATED, resilience.FLAGGED)
 
+#: Alarm band, in EWMA standard deviations, of the default drift monitor
+#: watching a candidate (a ``drift_monitor=`` override replaces it).
+DRIFT_SIGMAS = 6.0
+
 
 def _state_gauge():
     return obs.gauge(
@@ -131,30 +135,24 @@ class RolloutConfig:
 
     ``shadow_sample_every`` thins shadow scoring to every Nth scoring
     group (1 = every group); ``min_shadow_batches`` is the evidence floor
-    before :meth:`~RolloutController.promote` (or auto-promotion) is
-    allowed; ``max_flag_rate_divergence`` bounds the absolute difference
-    between incumbent and candidate flag rates over the shadow window;
+    before :meth:`~RolloutController.promote` is allowed;
+    ``max_flag_rate_divergence`` bounds the absolute difference between
+    incumbent and candidate flag rates over the shadow window;
     ``max_candidate_failures`` bounds candidate scoring failures (strict
-    default: the first failure trips). ``drift_*`` configure the
+    default: the first failure trips). The
     :class:`DiscrepancyDriftMonitor` watching the candidate's joint
-    stream — it calibrates itself from the first
-    ``drift_calibration_samples`` cleanly-scored incumbent joints of the
-    shadow window, so the alarm band reflects *current* traffic.
-    ``auto_promote`` promotes as soon as the evidence floor is met with
-    every guardrail green. ``relatch_cooldown_s`` is the rollback
-    breaker's cooldown; the default ``math.inf`` latches a rolled-back
-    bundle version permanently (operator must :meth:`unlatch`).
+    stream calibrates itself from the first ``drift_calibration_samples``
+    cleanly-scored incumbent joints of the shadow window, so the alarm
+    band reflects *current* traffic. ``relatch_cooldown_s`` is the
+    rollback breaker's cooldown; the default ``math.inf`` latches a
+    rolled-back bundle version permanently (operator must :meth:`unlatch`).
     """
 
     shadow_sample_every: int = 1
     min_shadow_batches: int = 8
     max_flag_rate_divergence: float = 0.25
     max_candidate_failures: int = 0
-    drift_alpha: float = 0.1
-    drift_sigmas: float = 6.0
-    drift_warmup: int = 10
     drift_calibration_samples: int = 32
-    auto_promote: bool = False
     relatch_cooldown_s: float = math.inf
 
     def __post_init__(self) -> None:
@@ -349,11 +347,7 @@ class RolloutController:
                 if self.drift.calibrated:
                     self.drift.reset_stream()
             else:
-                self.drift = DiscrepancyDriftMonitor(
-                    alpha=self.config.drift_alpha,
-                    sigmas=self.config.drift_sigmas,
-                    warmup=self.config.drift_warmup,
-                )
+                self.drift = DiscrepancyDriftMonitor(sigmas=DRIFT_SIGMAS)
             self._epoch += 1
             self._transition(SHADOW)
 
@@ -373,13 +367,12 @@ class RolloutController:
                     f"only {self._shadow_batches}/{self.config.min_shadow_batches} "
                     "shadow batches observed; promote(force=True) to override"
                 )
-            self._promote_locked()
-
-    def _promote_locked(self) -> None:
-        self.server.swap_monitor(self.candidate, bundle_version=self._candidate_key)
-        _swaps_counter().labels(direction="promote").inc()
-        self._epoch += 1
-        self._transition(PROMOTED)
+            self.server.swap_monitor(
+                self.candidate, bundle_version=self._candidate_key
+            )
+            _swaps_counter().labels(direction="promote").inc()
+            self._epoch += 1
+            self._transition(PROMOTED)
 
     def finalize(self) -> None:
         """Accept a promoted candidate as the new incumbent (PROMOTED → IDLE)."""
@@ -570,11 +563,6 @@ class RolloutController:
                     f"(> {self.config.max_flag_rate_divergence:g})",
                     "divergence",
                 )
-                return
-        if self.config.auto_promote and (
-            self._shadow_batches >= self.config.min_shadow_batches
-        ):
-            self._promote_locked()
 
     def _feed_drift_locked(
         self, incumbent_joints: list[float], candidate_joints: list[float]

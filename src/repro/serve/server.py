@@ -65,7 +65,7 @@ import numpy as np
 
 from repro import obs
 from repro.core import resilience
-from repro.core.monitor import RuntimeMonitor, ValidationVerdict
+from repro.core.monitor import RuntimeMonitor
 from repro.serve.batcher import Ewma, MicroBatcher
 from repro.serve.futures import VerdictFuture
 from repro.serve.supervisor import SupervisorConfig, WorkerSupervisor
@@ -83,6 +83,10 @@ SHED_REASONS = {
     "shed_breaker": "breaker",
     "shed_shutdown": "shutdown",
 }
+
+#: EWMA smoothing factor for the queue-wait and service-time estimates
+#: behind adaptive load shedding.
+SHED_ALPHA = 0.2
 
 
 def _requests_counter():
@@ -140,12 +144,12 @@ class ServeConfig:
 
     ``latency_slo_ms`` (optional) arms adaptive load shedding: when the
     projected queue wait — an EWMA blend of observed per-request waits
-    and per-batch service times, smoothed with ``shed_alpha`` — exceeds
+    and per-batch service times, smoothed with ``SHED_ALPHA`` — exceeds
     the SLO, ``submit`` sheds the request immediately with a structured
     ``OVERLOADED`` verdict carrying the projection, instead of queueing
     work that is already late. The static ``queue_depth`` bound remains
     the hard backstop. ``supervision`` tunes the worker supervisor
-    (restart backoff, restart budget, stall replacement); ``None`` uses
+    (restart budget, polling, batch retries); ``None`` uses
     :class:`~repro.serve.supervisor.SupervisorConfig` defaults.
     """
 
@@ -155,7 +159,6 @@ class ServeConfig:
     workers: int = 1
     default_timeout_ms: float | None = None
     latency_slo_ms: float | None = None
-    shed_alpha: float = 0.2
     supervision: SupervisorConfig = field(default_factory=SupervisorConfig)
 
     def __post_init__(self) -> None:
@@ -169,8 +172,6 @@ class ServeConfig:
             raise ValueError(
                 f"latency_slo_ms must be > 0, got {self.latency_slo_ms}"
             )
-        if not 0.0 < self.shed_alpha <= 1.0:
-            raise ValueError(f"shed_alpha must be in (0, 1], got {self.shed_alpha}")
 
 
 class ValidationServer:
@@ -209,8 +210,8 @@ class ValidationServer:
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
-        self._wait_ewma = Ewma(self.config.shed_alpha)
-        self._service_ewma = Ewma(self.config.shed_alpha)
+        self._wait_ewma = Ewma(SHED_ALPHA)
+        self._service_ewma = Ewma(SHED_ALPHA)
         self.supervisor = WorkerSupervisor(
             self, self.config.supervision, clock=self._clock
         )
@@ -418,20 +419,6 @@ class ValidationServer:
 
     # -- worker side -----------------------------------------------------------
 
-    def _rejection_verdict(
-        self, status: str, reason: str, detail: dict | None = None
-    ) -> ValidationVerdict:
-        n_layers = max(len(self.monitor.validator.validators), 1)
-        return ValidationVerdict(
-            prediction=-1,
-            joint_discrepancy=float("nan"),
-            per_layer=np.full(n_layers, np.nan),
-            accepted=False,
-            status=status,
-            reason=reason,
-            detail=detail,
-        )
-
     def _resolve_rejection(
         self,
         future: VerdictFuture,
@@ -440,7 +427,8 @@ class ValidationServer:
         count_key: str,
         detail: dict | None = None,
     ) -> None:
-        if not future._try_resolve(self._rejection_verdict(status, reason, detail)):
+        verdict = self.monitor.unscored_verdict(status, reason, detail)
+        if not future._try_resolve(verdict):
             return  # lost a legitimate race (e.g. close-drain vs. a worker)
         with self._lock:
             self._counts[count_key] += 1
@@ -480,7 +468,7 @@ class ValidationServer:
         if retriable:
             self.batcher.requeue(retriable)
 
-    def _worker_loop(self, slot_index: int, generation: int) -> None:
+    def _worker_loop(self, slot_index: int) -> None:
         """One supervised worker: dequeue, process, report, repeat.
 
         Every ``BaseException`` is surfaced, never swallowed: an
@@ -494,8 +482,6 @@ class ValidationServer:
         """
         supervisor = self.supervisor
         while True:
-            if supervisor.superseded(slot_index, generation):
-                return  # replaced after a stall; the slot has a new worker
             try:
                 batch = self.batcher.next_batch()
             except BaseException:
@@ -504,7 +490,6 @@ class ValidationServer:
                 raise  # recorded as a death by the supervisor wrapper
             if batch is None:
                 return  # batcher closed and drained: clean exit
-            supervisor.beat(slot_index, generation, busy=True)
             try:
                 self._process(batch)
             except Exception as exc:  # noqa: BLE001 — worker outlives the batch
@@ -517,9 +502,7 @@ class ValidationServer:
                 self._requeue_or_fail(batch, exc)
                 raise
             else:
-                supervisor.batch_ok(slot_index, generation)
-            finally:
-                supervisor.beat(slot_index, generation, busy=False)
+                supervisor.batch_ok(slot_index)
 
     def _process(self, batch: list[_Ticket]) -> None:
         now = self._clock()

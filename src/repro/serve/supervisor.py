@@ -7,14 +7,14 @@ accepting requests it would never score. :class:`WorkerSupervisor` closes
 that hole:
 
 * it **owns** the worker threads — each worker slot carries a generation
-  token, a heartbeat timestamp, and a restart count;
+  counter and a restart count;
 * it **detects death** two ways: workers report their own demise (every
   ``BaseException`` escaping the worker loop is recorded and re-raised to
   the supervisor's thread wrapper), and a periodic join-probe catches
   threads that vanished without reporting;
 * it **restarts** dead workers with capped exponential backoff
-  (``backoff_base_s * 2**consecutive_restarts``, capped at
-  ``backoff_cap_s``, measured on the injectable clock);
+  (``BACKOFF_BASE_S * 2**consecutive_restarts``, capped at
+  ``BACKOFF_CAP_S``, measured on the injectable clock);
 * it **fails fast** when restarting stops helping: worker deaths feed a
   :class:`~repro.core.resilience.CircuitBreaker` whose
   ``failure_window`` turns the threshold into a *budget per window* —
@@ -23,11 +23,9 @@ that hole:
   ``OVERLOADED`` verdicts, and restarts pause until the cooldown
   half-opens the breaker for a probe restart.
 
-Optionally (``heartbeat_timeout_s``), the supervisor also *replaces*
-stalled workers: a worker busy on one batch for longer than the timeout
-is superseded — its slot gets a fresh thread and generation while the
-wedged thread is left to finish (or not) as a zombie; generation checks
-make the zombie's late bookkeeping harmless.
+A slot is respawned only after its thread has reported its death or been
+seen dead, so no two threads ever serve one slot. A worker wedged on one
+batch is not replaced: its slot stays live until the batch returns.
 
 Everything time-like runs on the injected clock, and :meth:`poll` is a
 public synchronous entry point, so the chaos harness
@@ -45,6 +43,11 @@ from typing import Callable
 from repro import obs
 from repro.core.resilience import CircuitBreaker
 
+#: Restart backoff: ``BACKOFF_BASE_S * 2**consecutive_restarts`` seconds,
+#: capped at ``BACKOFF_CAP_S``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+
 
 def _restarts_counter():
     return obs.counter(
@@ -57,46 +60,27 @@ def _restarts_counter():
 class SupervisorConfig:
     """Tuning knobs for :class:`WorkerSupervisor`.
 
-    ``backoff_base_s`` / ``backoff_cap_s`` shape the restart backoff
-    curve (``base * 2**consecutive_restarts``, capped). ``restart_budget``
-    worker deaths within ``restart_window_s`` trip the restart breaker
-    (fail-fast shedding); the same window is the breaker cooldown before
-    a probe restart. ``heartbeat_timeout_s`` (optional) additionally
-    replaces a worker that has been busy on a single batch longer than
-    the timeout; ``None`` (the default) trusts workers to finish —
-    replacement spawns threads we can never reclaim, so it is opt-in.
-    ``poll_interval_s`` is the real-time cadence of the background poll
-    thread (``None`` disables it — tests then call ``poll()`` directly).
+    ``restart_budget`` worker deaths within ``restart_window_s`` trip the
+    restart breaker (fail-fast shedding); the same window is the breaker
+    cooldown before a probe restart. ``poll_interval_s`` is the real-time
+    cadence of the background poll thread (``None`` disables it — tests
+    then call ``poll()`` directly).
     ``max_batch_retries`` bounds how many times a ticket orphaned by a
     dying worker is requeued before its future is failed with the
     worker's exception.
     """
 
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
     restart_budget: int = 5
     restart_window_s: float = 30.0
-    heartbeat_timeout_s: float | None = None
     poll_interval_s: float | None = 0.02
     max_batch_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.backoff_base_s < 0:
-            raise ValueError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError(
-                f"backoff_cap_s must be >= backoff_base_s, got "
-                f"{self.backoff_cap_s} < {self.backoff_base_s}"
-            )
         if self.restart_budget < 1:
             raise ValueError(f"restart_budget must be >= 1, got {self.restart_budget}")
         if self.restart_window_s <= 0:
             raise ValueError(
                 f"restart_window_s must be > 0, got {self.restart_window_s}"
-            )
-        if self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0:
-            raise ValueError(
-                f"heartbeat_timeout_s must be > 0, got {self.heartbeat_timeout_s}"
             )
         if self.poll_interval_s is not None and self.poll_interval_s <= 0:
             raise ValueError(
@@ -116,8 +100,6 @@ class _WorkerSlot:
         "generation",
         "thread",
         "state",
-        "last_beat",
-        "busy_since",
         "died_at",
         "consecutive_restarts",
         "last_error",
@@ -127,9 +109,7 @@ class _WorkerSlot:
         self.index = index
         self.generation = 0
         self.thread: threading.Thread | None = None
-        self.state = "idle"  # idle | live | dead | stalled | exited
-        self.last_beat = 0.0
-        self.busy_since: float | None = None
+        self.state = "idle"  # idle | live | dead | exited
         self.died_at: float | None = None
         self.consecutive_restarts = 0
         self.last_error: str | None = None
@@ -178,7 +158,6 @@ class WorkerSupervisor:
         self._last_poll_error: str | None = None
         self.restarts = 0
         self.deaths = 0
-        self.stalls = 0
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.restart_budget,
             cooldown=self.config.restart_window_s,
@@ -211,12 +190,9 @@ class WorkerSupervisor:
         self._poll_wakeup.set()
 
     def join(self, timeout: float | None = None) -> None:
-        """Join the poll thread and every current-generation worker.
+        """Join the poll thread and every worker.
 
-        ``timeout`` bounds each individual join. Superseded (zombie)
-        threads are *not* joined — they are daemons wedged on a batch the
-        supervisor already gave up on; joining them would reintroduce the
-        hang the stall replacement existed to avoid.
+        ``timeout`` bounds each individual join.
         """
         if self._poll_thread is not None:
             self._poll_thread.join(timeout)
@@ -227,23 +203,10 @@ class WorkerSupervisor:
 
     # -- worker-side reporting -------------------------------------------------
 
-    def beat(self, slot_index: int, generation: int, busy: bool) -> None:
-        """Record a worker heartbeat (``busy`` marks batch start/finish)."""
-        with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
-                return  # a superseded zombie; its slot has moved on
-            now = self._clock()
-            slot.last_beat = now
-            slot.busy_since = now if busy else None
-
-    def batch_ok(self, slot_index: int, generation: int) -> None:
+    def batch_ok(self, slot_index: int) -> None:
         """A worker finished a batch cleanly: recovery is working."""
         with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
-                return
-            slot.consecutive_restarts = 0
+            self._slots[slot_index].consecutive_restarts = 0
             # Only a half-open probe success should close the breaker:
             # within the window, deaths must keep counting toward the
             # budget even when interleaved with completed batches (a
@@ -252,34 +215,20 @@ class WorkerSupervisor:
             if self.breaker.state == CircuitBreaker.HALF_OPEN:
                 self.breaker.record_success()
 
-    def record_death(
-        self, slot_index: int, generation: int, exc: BaseException
-    ) -> None:
+    def record_death(self, slot_index: int, exc: BaseException) -> None:
         """A worker's loop raised: mark the slot dead and feed the budget."""
         with self._lock:
             slot = self._slots[slot_index]
-            if slot.generation != generation:
-                return  # zombie death after replacement; already accounted
             slot.state = "dead"
             slot.died_at = self._clock()
-            slot.busy_since = None
             slot.last_error = f"{type(exc).__name__}: {exc}"
             self.deaths += 1
             self.breaker.record_failure()
 
-    def record_exit(self, slot_index: int, generation: int) -> None:
+    def record_exit(self, slot_index: int) -> None:
         """A worker drained the closed batcher and exited cleanly."""
         with self._lock:
-            slot = self._slots[slot_index]
-            if slot.generation != generation:
-                return
-            slot.state = "exited"
-            slot.busy_since = None
-
-    def superseded(self, slot_index: int, generation: int) -> bool:
-        """Whether this (slot, generation) worker has been replaced."""
-        with self._lock:
-            return self._slots[slot_index].generation != generation
+            self._slots[slot_index].state = "exited"
 
     # -- supervision pass ------------------------------------------------------
 
@@ -309,34 +258,15 @@ class WorkerSupervisor:
                     # trust its wards).
                     slot.state = "dead"
                     slot.died_at = now
-                    slot.busy_since = None
                     slot.last_error = "worker thread exited without reporting"
                     self.deaths += 1
                     self.breaker.record_failure()
-                elif (
-                    self.config.heartbeat_timeout_s is not None
-                    and slot.busy_since is not None
-                    and now - slot.busy_since > self.config.heartbeat_timeout_s
-                ):
-                    # Stalled: wedged on one batch past the heartbeat
-                    # budget. Supersede the thread (it may never return)
-                    # and treat the slot as restartable.
-                    slot.state = "stalled"
-                    slot.died_at = now
-                    slot.busy_since = None
-                    slot.last_error = (
-                        f"worker stalled: busy > {self.config.heartbeat_timeout_s}s "
-                        "on one batch"
-                    )
-                    self.stalls += 1
-                    self.breaker.record_failure()
             started = 0
             for slot in self._slots:
-                if slot.state not in ("dead", "stalled"):
+                if slot.state != "dead":
                     continue
                 backoff = min(
-                    self.config.backoff_base_s * (2 ** slot.consecutive_restarts),
-                    self.config.backoff_cap_s,
+                    BACKOFF_BASE_S * (2 ** slot.consecutive_restarts), BACKOFF_CAP_S
                 )
                 if slot.died_at is not None and now - slot.died_at < backoff:
                     continue
@@ -353,26 +283,23 @@ class WorkerSupervisor:
         # Caller holds the lock.
         slot.generation += 1
         slot.state = "live"
-        slot.last_beat = self._clock()
-        slot.busy_since = None
         slot.died_at = None
-        generation = slot.generation
         thread = threading.Thread(
             target=self._run_worker,
-            args=(slot.index, generation),
-            name=f"repro-serve-worker-{slot.index}-gen{generation}",
+            args=(slot.index,),
+            name=f"repro-serve-worker-{slot.index}-gen{slot.generation}",
             daemon=True,
         )
         slot.thread = thread
         thread.start()
 
-    def _run_worker(self, slot_index: int, generation: int) -> None:
+    def _run_worker(self, slot_index: int) -> None:
         try:
-            self._server._worker_loop(slot_index, generation)
+            self._server._worker_loop(slot_index)
         except BaseException as exc:  # noqa: BLE001 — the supervision boundary
-            self.record_death(slot_index, generation, exc)
+            self.record_death(slot_index, exc)
         else:
-            self.record_exit(slot_index, generation)
+            self.record_exit(slot_index)
 
     def _poll_loop(self) -> None:
         while True:
@@ -415,7 +342,6 @@ class WorkerSupervisor:
                 "target_workers": len(self._slots),
                 "restarts": self.restarts,
                 "deaths": self.deaths,
-                "stalls": self.stalls,
                 "state": self.breaker.state,
                 "breaker": self.breaker.snapshot(),
                 "poll_errors": self._poll_errors,

@@ -123,20 +123,16 @@ class ArtifactCache:
         """Whether a cached entry exists for (name, config)."""
         return self.path_for(name, config).exists()
 
-    def load(self, name: str, config: Any, verify: bool = True) -> Any:
+    def load(self, name: str, config: Any) -> Any:
         """Unpickle the cached value for (name, config), verifying integrity.
 
-        With ``verify`` (the default), the pickle's bytes are hashed and
-        compared to the ``.sha256`` sidecar before unpickling. A missing
-        sidecar or a mismatched digest quarantines the entry and raises
+        The pickle's bytes are hashed and compared to the ``.sha256``
+        sidecar before unpickling. A missing sidecar or a mismatched
+        digest quarantines the entry and raises
         :class:`ArtifactIntegrityError` — a truncated or bit-flipped
-        artifact is never half-loaded. ``verify=False`` restores the
-        trusting pre-checksum behaviour.
+        artifact is never half-loaded.
         """
         path = self.path_for(name, config)
-        if not verify:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
         with open(path, "rb") as fh:
             payload = fh.read()
         sidecar = self.checksum_path_for(name, config)

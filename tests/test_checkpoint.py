@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointIntegrityError,
@@ -28,6 +29,7 @@ from repro.core.fitting import (
 from repro.core.validator import ValidatorConfig
 from repro.nn import Adadelta, Adam, SGD, Trainer, load_state_dict, save_state_dict
 from repro.nn.trainer import TrainingReport
+from repro.obs import MetricsRegistry
 from repro.testing import (
     InjectedCrashError,
     crash_at_epoch,
@@ -180,6 +182,16 @@ class TestTaskJournal:
         assert journal.header() == "fingerprint-1"
         assert journal.replay() == ["record"]
         assert len(journal) == 1  # the header frame is not a record
+
+    def test_len_does_not_count_as_replay(self, tmp_path):
+        journal = TaskJournal(tmp_path / "j.journal")
+        journal.write_header("fingerprint")
+        journal.append("a")
+        journal.append("b")
+        registry = MetricsRegistry()
+        with obs.use(registry=registry, enabled=True):
+            assert len(journal) == 2
+        assert "journal_replayed_records_total" not in registry.snapshot()
 
     def test_header_requires_fresh_journal(self, tmp_path):
         journal = TaskJournal(tmp_path / "j.journal")

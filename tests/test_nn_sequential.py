@@ -97,6 +97,18 @@ class TestProbedSequential:
             assert rep.shape[0] == 3
             assert rep.ndim == 2
 
+    def test_single_chunk_arrays_returned_without_copy(self):
+        model = make_tiny_model()
+        images = np.zeros((4, 1, 12, 12), np.float32)
+        out = np.zeros((4, 3))
+        probes = [np.zeros((4, 5)), np.zeros((4, 6)), np.zeros((4, 7))]
+        model.iter_hidden_representations = lambda *args, **kwargs: iter(
+            [(0, out, probes)]
+        )
+        probs, reps = model.hidden_representations(images)
+        assert probs is out
+        assert all(rep is probe for rep, probe in zip(reps, probes, strict=True))
+
     def test_batched_inference_matches_single_shot(self):
         model = make_tiny_model()
         images = np.random.default_rng(5).random((7, 1, 12, 12))

@@ -568,10 +568,10 @@ class TestWorkerSupervision:
                 # The orphaned ticket went back to the queue, not lost.
                 assert not future.done()
                 # Backoff gate: a poll at the death instant must NOT
-                # restart yet (backoff_base_s has not elapsed).
+                # restart yet (BACKOFF_BASE_S has not elapsed).
                 server.supervisor.poll()
                 assert server.supervisor.snapshot()["restarts"] == 0
-                clock.advance(0.06)  # > backoff_base_s
+                clock.advance(0.06)  # > BACKOFF_BASE_S
                 assert server.supervisor.poll() == 1
                 verdict = future.result(timeout=60.0)
             assert verdict.status in (resilience.VALIDATED, resilience.FLAGGED)
@@ -599,9 +599,11 @@ class TestWorkerSupervision:
             ),
             clock=clock,
         )
-        server.start()
         try:
+            # Armed before start(): a worker that is already blocked inside
+            # next_batch would never see a later patch.
             with raise_in_batcher(server.batcher, nth=1, count=1):
+                server.start()
                 _await(
                     lambda: server.supervisor.snapshot()["deaths"] == 1,
                     message="the injected batcher death",
@@ -702,8 +704,6 @@ class TestWorkerSupervision:
             SupervisorConfig(restart_budget=0)
         with pytest.raises(ValueError):
             SupervisorConfig(poll_interval_s=0.0)
-        with pytest.raises(ValueError):
-            SupervisorConfig(heartbeat_timeout_s=-1.0)
 
 
 class TestAdaptiveShedding:

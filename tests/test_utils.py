@@ -255,12 +255,6 @@ class TestArtifactIntegrity:
         assert sidecar.read_text() == stale
         assert cache.get_or_build("thing", {}, lambda: "rebuilt") == "rebuilt"
 
-    def test_load_without_verify_trusts_bytes(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store("thing", {}, "value")
-        cache.checksum_path_for("thing", {}).unlink()
-        assert cache.load("thing", {}, verify=False) == "value"
-
     def test_discard_removes_sidecar(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.store("thing", {}, "value")
