@@ -1,59 +1,49 @@
-"""Parallel, memory-bounded fitting pipeline for Algorithm 1.
+"""In-process fitting pipeline for Algorithm 1, over one forward pass.
 
-``DeepValidator.fit`` used to materialise the hidden representations of
-every kept training image in one unchunked forward pass, then run the
-``layers x classes`` independent one-class SMO solves strictly serially.
-This module decomposes that into three stages:
+``DeepValidator.fit`` runs Algorithm 1 as three stages:
 
-1. **Planning** — :func:`plan_fit_tasks` replays Algorithm 1's exact
+1. **One pass** — :func:`extract_kept_rows` streams the training images
+   once through :meth:`ProbedSequential.iter_hidden_representations` in
+   ``chunk_size`` batches. Each chunk's probabilities give its predictions
+   (Algorithm 1 line 2), and the correctly classified rows of every
+   validated layer are copied into per-layer buffers, compacted in
+   training order. No image is forwarded twice, and a chunk's activations
+   are dropped as soon as its kept rows are copied.
+2. **Planning** — :func:`plan_fit_tasks` replays Algorithm 1's exact
    per-layer RNG discipline (``seed + layer position``, classes visited in
-   sorted order) to decide *which rows* each ``(layer, class)`` task will
-   train on, before any activation is computed. Subsampling therefore
-   depends only on the labels and the seed, never on worker scheduling.
-2. **Chunked extraction** — :func:`extract_task_features` streams the kept
-   images through :meth:`ProbedSequential.iter_hidden_representations` in
-   ``chunk_size`` batches and gathers *only* the planned rows per layer, so
-   peak transient memory is ``chunk_size x widest layer`` plus the
-   (``classes x max_per_class``)-row training buffers — never the full
-   dataset's activations.
-3. **Task-graph solving** — :func:`solve_tasks` dispatches the independent
-   ``(layer, class)`` solves (scaler stats, Gram matrix, SMO) over a
-   ``multiprocessing`` pool. Each worker computes its own Gram block;
-   results are merged by task key, so the assembled validator is
-   bit-identical regardless of worker count or completion order.
-   ``n_jobs=1`` runs the same solve in-process (the exact serial math).
+   sorted order) on the kept labels to decide *which rows* each
+   ``(layer, class)`` task trains on. Subsampling therefore depends only on
+   the labels and the seed.
+3. **Solving** — :func:`solve_tasks` runs the independent ``(layer,
+   class)`` solves (scaler stats, Gram matrix, SMO) in-process, in sorted
+   key order. :class:`TaskFeatures` gathers a task's rows and casts them to
+   float64 only when that task is read, and drops a layer's buffer after
+   the layer's last task, so at most one task's float64 copy is alive at a
+   time. The float32 → float64 cast is exact, so the solve is bit-identical
+   to casting every task up front.
 
-Stage 3 is also the pipeline's recovery point:
+Retained memory is the kept rows of every validated layer (``N_kept x
+features`` at the forward's float32) plus one task's float64 copy
+(``max_per_class x features x 8`` bytes); see ``docs/fitting.md``.
 
-* **Task journal** — given a ``journal``
-  (:class:`~repro.core.checkpoint.TaskJournal`), every completed solution
-  is flushed to disk as it lands; a rerun replays the journal and solves
-  only the missing tasks, so a crash at task 97/100 costs three solves,
-  not a hundred. Replayed and freshly-solved tasks are bit-identical —
-  both ran the same :func:`_solve_fit_task` math. The journal's header
-  frame fingerprints the solve config and task features, so a stale
-  journal under a reused name is discarded, never merged.
-* **Hung-worker watchdog** — a per-task deadline (``task_timeout`` or the
-  ``REPRO_FIT_TASK_TIMEOUT`` environment variable, seconds) bounds how
-  long the coordinator waits on any one solve; expiry terminates and
-  recycles the whole pool rather than deadlocking the fit.
-* **Bounded retry** — pool construction failures, worker crashes, and
-  watchdog expiries are retried up to ``max_retries`` times with
-  exponential backoff (progress made before a failure is kept — only
-  still-missing tasks are redispatched); when retries are exhausted, the
-  remaining work degrades to the in-process path with a
-  :class:`ParallelFitWarning` instead of aborting the fit.
+Solving is also the pipeline's recovery point: given a ``journal``
+(:class:`~repro.core.checkpoint.TaskJournal`), every completed solution is
+flushed to disk as it lands; a rerun replays the journal and solves only
+the missing tasks, so a crash at task 97/100 costs three solves, not a
+hundred. Replayed and freshly solved tasks are bit-identical — both ran the
+same :func:`_solve_fit_task` math. The journal's header frame fingerprints
+the solve config and task features, so a stale journal under a reused name
+is discarded, never merged.
 
-The determinism contract (``n_jobs=1`` ≡ ``n_jobs=N`` ≡ interrupted +
-resumed) is pinned by the hypothesis suites in
+The determinism contract (pipeline ≡ per-layer ``LayerValidator.fit`` ≡
+interrupted + resumed) is pinned by the hypothesis suites in
 ``tests/test_fitting_determinism.py`` and ``tests/test_checkpoint_resume.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +53,6 @@ from repro.svm.oneclass import OneClassSVM
 from repro.svm.scaler import StandardScaler
 from repro.utils.cache import hash_array
 from repro.utils.rng import new_rng
-from repro.utils.warnings_ import emit_warning
 
 
 def _stage_histogram(stage: str):
@@ -80,54 +69,6 @@ def _tasks_counter():
         help="Completed (layer, class) solves by execution mode",
         labels=("mode",),
     )
-
-#: Environment variable holding the per-task watchdog deadline, in seconds.
-TASK_TIMEOUT_ENV = "REPRO_FIT_TASK_TIMEOUT"
-
-#: Sleep hook for retry backoff; tests patch this to keep suites fast.
-_sleep = time.sleep
-
-
-class ParallelFitWarning(RuntimeWarning):
-    """Raised (as a warning) when parallel fitting falls back to in-process.
-
-    Emitted through :func:`repro.utils.warnings_.emit_warning`, so
-    ``REPRO_STRICT=1`` escalates the silent fallback into an error.
-    """
-
-
-class HungWorkerError(RuntimeError):
-    """A fit task missed its watchdog deadline; the pool was recycled.
-
-    Raised internally by one parallel attempt and caught by
-    :func:`solve_tasks`'s retry loop — it only escapes to callers through
-    the eventual :class:`ParallelFitWarning` message when every retry
-    hangs too.
-    """
-
-
-class NonRetryableFitError(RuntimeError):
-    """An error the parallel retry machinery must propagate, never absorb.
-
-    The pool-attempt loop wraps arbitrary worker failures for retry and
-    eventual serial fallback; exceptions deriving from this class punch
-    straight through instead. The fault injectors subclass it (via
-    :class:`repro.testing.faults.InjectedCrashError`) so that a
-    misconfiguration they refuse to model — e.g. a hung worker with the
-    watchdog disabled — fails the fit loudly rather than being retried
-    into a silent serial fallback.
-    """
-
-
-class _PoolAttemptFailure(Exception):
-    """Internal: one parallel attempt failed in the pool machinery.
-
-    Wraps pool-construction errors, dispatch errors, and worker crashes —
-    the failures a pool recycle plus retry may fix. Exceptions raised
-    while *recording* a finished solution (journal I/O, injected crashes,
-    strict-mode escalations) and :class:`NonRetryableFitError` subclasses
-    deliberately do not get this wrapper and propagate to the caller.
-    """
 
 
 @dataclass(frozen=True)
@@ -152,11 +93,11 @@ class FitTask:
 
 @dataclass
 class TaskSolution:
-    """Everything a worker ships back from one ``(layer, class)`` solve.
+    """Everything one ``(layer, class)`` solve produces.
 
-    The full dual vector stays in the worker; only the support set, offsets,
-    fitted kernel, and scaler statistics cross the process boundary —
-    exactly the pieces :meth:`OneClassSVM.from_solution` needs.
+    The full dual vector is dropped; only the support set, offsets, fitted
+    kernel, and scaler statistics are kept — exactly the pieces
+    :meth:`OneClassSVM.from_solution` needs, and what the journal stores.
     """
 
     support_vectors: np.ndarray
@@ -170,38 +111,52 @@ class TaskSolution:
     scaler_scale: np.ndarray | None = None
 
 
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalise the ``n_jobs`` knob: ``-1`` means every usable core."""
-    if n_jobs is None:
-        return 1
-    if n_jobs == -1:
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # platforms without CPU affinity
-            return max(1, os.cpu_count() or 1)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be -1 or >= 1, got {n_jobs}")
-    return int(n_jobs)
+# -- stage 1: one forward pass -------------------------------------------------
 
 
-#: Default fit worker cap: fit parallelism saturates quickly on the small
-#: per-task Grams the paper's settings produce.
-DEFAULT_FIT_JOBS_CAP = 4
+def extract_kept_rows(
+    model,
+    images: np.ndarray,
+    labels: np.ndarray,
+    layer_indices: list[int],
+    filter_misclassified: bool = True,
+    chunk_size: int = 256,
+) -> tuple[np.ndarray, int, dict[int, np.ndarray]]:
+    """Forward ``images`` once; keep the correctly classified rows.
 
-
-def default_fit_jobs() -> int:
-    """Worker count for callers without an explicit knob.
-
-    Honours the ``REPRO_FIT_JOBS`` environment variable, otherwise the
-    usable core count capped at :data:`DEFAULT_FIT_JOBS_CAP`.
+    Returns ``(kept_labels, correct, buffers)``: the labels of the kept
+    images in training order, the number of correctly classified images,
+    and, per validated probe index, the kept rows of that probe's
+    flattened representation, compacted in training order (row ``i``
+    belongs to ``kept_labels[i]``). With ``filter_misclassified=False``
+    (the ablation that skips Algorithm 1 line 2) every row is kept.
     """
-    env = os.environ.get("REPRO_FIT_JOBS")
-    if env is not None:
-        return resolve_n_jobs(int(env))
-    return min(DEFAULT_FIT_JOBS_CAP, resolve_n_jobs(-1))
+    labels = np.asarray(labels)
+    layers = set(layer_indices)
+    keep = np.zeros(len(images), dtype=bool)
+    correct = kept = 0
+    buffers: dict[int, np.ndarray] = {}
+    for start, probs, reps in model.iter_hidden_representations(
+        images, batch_size=chunk_size
+    ):
+        stop = start + len(probs)
+        hits = probs.argmax(axis=1) == labels[start:stop]
+        correct += int(hits.sum())
+        rows = hits if filter_misclassified else np.ones(len(probs), dtype=bool)
+        keep[start:stop] = rows
+        count = int(rows.sum())
+        for layer_index in layers:
+            rep = reps[layer_index]
+            if layer_index not in buffers:
+                # Sized for every image; rows past the kept count are never
+                # written, so their pages are never touched.
+                buffers[layer_index] = np.empty((len(images), rep.shape[1]), dtype=rep.dtype)
+            np.compress(rows, rep, axis=0, out=buffers[layer_index][kept : kept + count])
+        kept += count
+    return labels[keep], correct, {k: buffer[:kept] for k, buffer in buffers.items()}
 
 
-# -- stage 1: planning ---------------------------------------------------------
+# -- stage 2: planning ---------------------------------------------------------
 
 
 def plan_fit_tasks(labels, layer_positions, config) -> list[FitTask]:
@@ -232,53 +187,50 @@ def plan_fit_tasks(labels, layer_positions, config) -> list[FitTask]:
     return tasks
 
 
-# -- stage 2: chunked extraction -----------------------------------------------
+class TaskFeatures(Mapping):
+    """Each task's float64 training features, gathered when read.
 
-
-def extract_task_features(
-    model, images: np.ndarray, tasks: list[FitTask], chunk_size: int = 256
-) -> dict[tuple[int, int], np.ndarray]:
-    """Gather each task's training features with bounded transient memory.
-
-    Streams ``images`` through the model in ``chunk_size`` batches and
-    copies only the planned rows of each validated layer into per-layer
-    buffers (at most ``classes x max_per_class`` rows each); the full
-    ``(N, features)`` activation matrices are never materialised.
+    ``buffers`` maps a probe index to the representation matrix the tasks'
+    ``rows`` index into: the kept rows of :func:`extract_kept_rows`, or a
+    caller's full matrix. ``features[key]`` gathers the task's rows and
+    casts them to float64 on every read; nothing is cached.
+    :meth:`release` drops a layer's buffer once the layer's last task (in
+    sorted key order) is settled. The mapping takes ownership of
+    ``buffers``.
     """
-    unions: dict[int, np.ndarray] = {}
-    for task in tasks:
-        if task.layer_index in unions:
-            unions[task.layer_index] = np.union1d(unions[task.layer_index], task.rows)
-        else:
-            unions[task.layer_index] = np.unique(task.rows)
 
-    buffers: dict[int, np.ndarray] = {}
-    for start, _, reps in model.iter_hidden_representations(images, batch_size=chunk_size):
-        stop = start + len(reps[0]) if reps else start
-        for layer_index, union in unions.items():
-            lo, hi = np.searchsorted(union, [start, stop])
-            if lo == hi:
-                continue
-            rep = reps[layer_index]
-            if layer_index not in buffers:
-                buffers[layer_index] = np.empty((len(union), rep.shape[1]), dtype=rep.dtype)
-            buffers[layer_index][lo:hi] = rep[union[lo:hi] - start]
+    def __init__(self, tasks: list[FitTask], buffers: dict[int, np.ndarray]) -> None:
+        self._tasks = {task.key: task for task in tasks}
+        self._buffers = buffers
+        self._last_key = {
+            self._tasks[key].layer_index: key for key in sorted(self._tasks)
+        }
 
-    features: dict[tuple[int, int], np.ndarray] = {}
-    for task in tasks:
-        union = unions[task.layer_index]
-        positions = np.searchsorted(union, task.rows)
-        features[task.key] = np.asarray(
-            buffers[task.layer_index][positions], dtype=np.float64
-        )
-    return features
+    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
+        task = self._tasks[key]
+        return np.asarray(self._buffers[task.layer_index][task.rows], dtype=np.float64)
+
+    def __contains__(self, key) -> bool:
+        return key in self._tasks  # membership must not gather
+
+    def __iter__(self):
+        return iter(self._tasks)
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def release(self, key: tuple[int, int]) -> None:
+        """Drop ``key``'s layer buffer if ``key`` is that layer's last task."""
+        layer_index = self._tasks[key].layer_index
+        if self._last_key[layer_index] == key:
+            self._buffers.pop(layer_index, None)
 
 
-# -- stage 3: the (layer, class) task graph ------------------------------------
+# -- stage 3: the (layer, class) solves ----------------------------------------
 
 
 def _solve_config(config) -> dict:
-    """The picklable slice of ``ValidatorConfig`` a solve needs."""
+    """The slice of ``ValidatorConfig`` a solve needs (and is fingerprinted by)."""
     return {
         "nu": config.nu,
         "kernel": config.kernel,
@@ -288,11 +240,11 @@ def _solve_config(config) -> dict:
 
 
 def _solve_fit_task(payload) -> tuple[tuple[int, int], TaskSolution]:
-    """Worker body: scaler stats, Gram, and SMO for one task.
+    """Scaler stats, Gram, and SMO for one ``(key, features, cfg)`` task.
 
-    Runs identically in-process and in a pool worker — the same
-    ``StandardScaler.fit`` and ``OneClassSVM.fit`` calls the serial path
-    makes, so solutions are bit-identical either way.
+    The same ``StandardScaler.fit`` and ``OneClassSVM.fit`` calls the
+    serial ``LayerValidator.fit`` makes, so solutions are bit-identical to
+    it. Module-level so tests can count or forbid solves.
     """
     key, features, cfg = payload
     scaler_mean = scaler_scale = None
@@ -314,29 +266,6 @@ def _solve_fit_task(payload) -> tuple[tuple[int, int], TaskSolution]:
     )
 
 
-def _make_pool(processes: int):
-    """Pool constructor, separated so tests can simulate pool failures."""
-    import multiprocessing
-
-    return multiprocessing.get_context().Pool(processes=processes)
-
-
-def resolve_task_timeout(task_timeout: float | None = None) -> float | None:
-    """Normalise the per-task watchdog deadline.
-
-    ``None`` consults ``REPRO_FIT_TASK_TIMEOUT`` (seconds; unset, empty,
-    or non-positive disables the watchdog); an explicit non-positive value
-    force-disables it regardless of the environment.
-    """
-    if task_timeout is not None:
-        return float(task_timeout) if task_timeout > 0 else None
-    env = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-    if not env:
-        return None
-    value = float(env)
-    return value if value > 0 else None
-
-
 def _journal_fingerprint(task_features, cfg) -> str:
     """Identity stamp of one solve: config plus a content hash per task.
 
@@ -344,7 +273,9 @@ def _journal_fingerprint(task_features, cfg) -> str:
     different data or solver settings under the same name (journals are
     keyed only by dataset/profile/seed) is discarded instead of silently
     merged into the fitted validator — replaying foreign solutions would
-    break the bit-identity contract without any error.
+    break the bit-identity contract without any error. Tasks are read and
+    hashed one at a time, so a lazy :class:`TaskFeatures` never holds more
+    than one task's features here either.
     """
     digest = hashlib.sha256()
     digest.update(repr(sorted(cfg.items())).encode())
@@ -386,141 +317,42 @@ def _record_solution(key, solution, solutions, journal) -> None:
         journal.append((key, solution))
 
 
-def _solve_parallel(
-    pending, task_features, cfg, n_jobs, timeout, solutions, journal
-) -> None:
-    """One pool attempt over ``pending``; records solutions as they land.
-
-    Pool machinery failures (construction, dispatch, worker crashes) raise
-    :class:`_PoolAttemptFailure`; a watchdog expiry raises
-    :class:`HungWorkerError` after terminating the pool. Either way, every
-    solution recorded before the failure is kept, so retries only redo the
-    genuinely missing work.
-    """
-    import multiprocessing
-
-    try:
-        pool = _make_pool(min(n_jobs, len(pending)))
-    except Exception as exc:  # noqa: BLE001 — robustness is the contract
-        raise _PoolAttemptFailure(exc) from exc
-    try:
-        try:
-            handles = [
-                (key, pool.apply_async(_solve_fit_task, ((key, task_features[key], cfg),)))
-                for key in pending
-            ]
-        except NonRetryableFitError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            raise _PoolAttemptFailure(exc) from exc
-        for key, handle in handles:
-            try:
-                solved_key, solution = (
-                    handle.get(timeout) if timeout is not None else handle.get()
-                )
-            except multiprocessing.TimeoutError as exc:
-                raise HungWorkerError(
-                    f"fit task {key} missed its {timeout}s deadline "
-                    f"({TASK_TIMEOUT_ENV}); recycling the worker pool"
-                ) from exc
-            except NonRetryableFitError:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                raise _PoolAttemptFailure(exc) from exc
-            _record_solution(solved_key, solution, solutions, journal)
-    finally:
-        # Recycle the pool unconditionally: terminate() is what reclaims a
-        # hung worker, and it is also how Pool.__exit__ ends a clean run.
-        pool.terminate()
-
-
 def solve_tasks(
-    task_features: dict[tuple[int, int], np.ndarray],
-    config,
-    n_jobs: int = 1,
-    journal=None,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.1,
+    task_features: Mapping, config, journal=None
 ) -> dict[tuple[int, int], TaskSolution]:
-    """Solve every task, in-process or across a worker pool.
+    """Solve every task in-process, in sorted key order.
 
-    Payloads are dispatched in sorted key order and results are merged by
-    key, so the mapping is deterministic regardless of scheduling.
+    ``task_features`` maps each task key to its float64 training features.
+    A :class:`TaskFeatures` builds each value when it is read and releases
+    each layer buffer after the layer's last task, so one task's features
+    are alive at a time.
 
     ``journal`` (a :class:`~repro.core.checkpoint.TaskJournal`) makes the
     solve resumable: previously journaled solutions are replayed instead
     of recomputed, and every new solution is flushed before the next task
     starts. The journal carries a fingerprint header of the solve config
     and task features; a journal written for different data or settings
-    is cleared rather than replayed. ``task_timeout`` (default: ``REPRO_FIT_TASK_TIMEOUT``) is the
-    hung-worker watchdog — a task that misses the deadline gets its pool
-    terminated and recycled. Pool failures of any kind are retried up to
-    ``max_retries`` times with exponential backoff (``retry_backoff``,
-    doubling per retry); exhausted retries degrade the remaining work to
-    the in-process path with a :class:`ParallelFitWarning` — a failed,
-    hung, or flaky pool never aborts the fit, and never changes its
-    result.
+    is cleared rather than replayed.
     """
     cfg = _solve_config(config)
     ordered = sorted(task_features)
+    release = getattr(task_features, "release", None)
     solutions: dict = {}
-    with obs.span("fit.solve_tasks", tasks=len(ordered), n_jobs=n_jobs), \
+    with obs.span("fit.solve_tasks", tasks=len(ordered)), \
             obs.timed(_stage_histogram("fit.solve")):
         if journal is not None:
             replayed = _replay_journal(journal, task_features, cfg)
             if replayed:
                 _tasks_counter().labels(mode="replayed").inc(len(replayed))
             solutions.update(replayed)
-        n_jobs = resolve_n_jobs(n_jobs)
-        timeout = resolve_task_timeout(task_timeout)
-        pending = [key for key in ordered if key not in solutions]
-        if n_jobs > 1 and len(pending) > 1:
-            attempts = 1 + max(0, int(max_retries))
-            failure: Exception | None = None
-            solved_before = len(solutions)
-            for attempt in range(attempts):
-                if attempt:
-                    obs.counter(
-                        "fit_pool_retries_total",
-                        help="Parallel-fit pool attempts beyond the first",
-                    ).inc()
-                    _sleep(retry_backoff * (2 ** (attempt - 1)))
-                pending = [key for key in ordered if key not in solutions]
-                if not pending:
-                    break
-                try:
-                    _solve_parallel(
-                        pending, task_features, cfg, n_jobs, timeout, solutions, journal
-                    )
-                    failure = None
-                    break
-                except (HungWorkerError, _PoolAttemptFailure) as exc:
-                    failure = exc
-            if len(solutions) > solved_before:
-                _tasks_counter().labels(mode="pool").inc(
-                    len(solutions) - solved_before
-                )
-            if failure is not None:
-                obs.counter(
-                    "fit_serial_fallback_total",
-                    help="Fits whose pool retries were exhausted and degraded "
-                    "to in-process solving",
-                ).inc()
-                cause = failure.__cause__ if failure.__cause__ is not None else failure
-                emit_warning(
-                    f"parallel fit (n_jobs={n_jobs}) failed after {attempts} "
-                    f"attempt(s) with {type(cause).__name__}: {cause}; "
-                    "falling back to in-process fitting",
-                    ParallelFitWarning,
-                    stacklevel=2,
-                )
         for key in ordered:
             if key not in solutions:
                 with obs.span("fit.solve_task", layer=key[0], klass=key[1]):
                     _, solution = _solve_fit_task((key, task_features[key], cfg))
                 _tasks_counter().labels(mode="inprocess").inc()
                 _record_solution(key, solution, solutions, journal)
+            if release is not None:
+                release(key)
     return {key: solutions[key] for key in ordered}
 
 
@@ -538,11 +370,10 @@ def build_layer_validators(
 
     Iterates tasks (already in planning order) rather than the solution
     mapping, so assembly order — and therefore every downstream structure —
-    is fixed by the plan, not by worker completion.
+    is fixed by the plan.
     """
     from repro.core.validator import LayerValidator
 
-    by_position = {position: layer_index for position, layer_index in layer_positions}
     validators = {
         position: LayerValidator(layer_index, layer_names[layer_index], config)
         for position, layer_index in layer_positions
@@ -578,34 +409,39 @@ def fit_deep_validator(
     layer_indices: list[int],
     config,
     chunk_size: int = 256,
-    n_jobs: int | None = None,
     journal=None,
-) -> list:
-    """The full pipeline behind ``DeepValidator.fit``: plan, extract, solve.
+) -> tuple[list, int]:
+    """The full pipeline behind ``DeepValidator.fit``: one pass, plan, solve.
 
-    ``n_jobs`` defaults to ``config.n_jobs``. ``journal`` (a
-    :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
-    resumable across process deaths; the plan is a pure function of the
-    labels and the seed, so a journal written by an interrupted fit of the
-    same data/config replays into the identical task graph. Returns the
-    fitted per-layer validators in layer order.
+    ``images``/``labels`` are the whole training set; the pass itself
+    drops the misclassified images (unless ``config.filter_misclassified``
+    is off). ``journal`` (a :class:`~repro.core.checkpoint.TaskJournal`)
+    makes the solve stage resumable across process deaths; the plan is a
+    pure function of the kept labels and the seed, so a journal written by
+    an interrupted fit of the same data/config replays into the identical
+    task list. Returns the fitted per-layer validators in layer order and
+    the number of correctly classified training images.
     """
     layer_positions = list(enumerate(layer_indices))
     with obs.span(
         "fit.pipeline", layers=len(layer_indices), images=len(images)
     ):
-        with obs.timed(_stage_histogram("fit.plan")):
-            tasks = plan_fit_tasks(labels, layer_positions, config)
         with obs.timed(_stage_histogram("fit.extract")):
-            task_features = extract_task_features(
-                model, images, tasks, chunk_size=chunk_size
+            kept_labels, correct, buffers = extract_kept_rows(
+                model,
+                images,
+                labels,
+                layer_indices,
+                filter_misclassified=config.filter_misclassified,
+                chunk_size=chunk_size,
             )
-        if n_jobs is None:
-            n_jobs = getattr(config, "n_jobs", 1)
-        solutions = solve_tasks(task_features, config, n_jobs=n_jobs, journal=journal)
-        return build_layer_validators(
+        with obs.timed(_stage_histogram("fit.plan")):
+            tasks = plan_fit_tasks(kept_labels, layer_positions, config)
+        solutions = solve_tasks(TaskFeatures(tasks, buffers), config, journal=journal)
+        validators = build_layer_validators(
             tasks, solutions, layer_positions, model.probe_names, config
         )
+    return validators, correct
 
 
 def fit_validators_from_arrays(
@@ -613,28 +449,24 @@ def fit_validators_from_arrays(
     labels: np.ndarray,
     layer_indices: list[int],
     config,
-    n_jobs: int = 1,
     layer_names: list[str] | None = None,
     journal=None,
 ) -> list:
     """Fit per-layer validators from already-extracted representations.
 
-    ``representations[i]`` holds layer ``i``'s ``(N, features_i)`` matrix.
+    ``representations[i]`` holds probe ``i``'s ``(N, features_i)`` matrix.
     Used by the determinism suite (no model required) and by callers that
     already hold activations; mathematically identical to
-    ``LayerValidator.fit`` per layer. ``journal`` passes through to
-    :func:`solve_tasks` for crash-safe, resumable solving.
+    ``LayerValidator.fit`` per layer, and solved through the same
+    one-task-at-a-time path as :func:`fit_deep_validator`. ``journal``
+    passes through to :func:`solve_tasks` for crash-safe, resumable
+    solving.
     """
     labels = np.asarray(labels)
     if layer_names is None:
         layer_names = [f"layer{i}" for i in range(len(representations))]
     layer_positions = list(enumerate(layer_indices))
     tasks = plan_fit_tasks(labels, layer_positions, config)
-    task_features = {
-        task.key: np.asarray(
-            representations[task.layer_index][task.rows], dtype=np.float64
-        )
-        for task in tasks
-    }
-    solutions = solve_tasks(task_features, config, n_jobs=n_jobs, journal=journal)
+    features = TaskFeatures(tasks, dict(enumerate(representations)))
+    solutions = solve_tasks(features, config, journal=journal)
     return build_layer_validators(tasks, solutions, layer_positions, layer_names, config)

@@ -94,11 +94,6 @@ class ValidatorConfig:
     paper's Algorithm 1 both drops misclassified training images (line 2)
     and segments reference distributions by class; disabling either
     reproduces the degraded variants the paper argues against.
-
-    ``n_jobs`` dispatches the independent (layer, class) SMO solves of
-    Algorithm 1 over a worker pool (``-1`` = every usable core); the fitted
-    validator is bit-identical for any worker count, so this is purely a
-    wall-clock knob. See :mod:`repro.core.fitting`.
     """
 
     nu: float = 0.1
@@ -112,18 +107,15 @@ class ValidatorConfig:
     filter_misclassified: bool = True
     per_class: bool = True
     seed: int = 0
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.combiner not in {"sum", "mean", "max", "last"}:
             raise ValueError(
                 f"combiner must be sum/mean/max/last, got {self.combiner!r}"
             )
-        if self.n_jobs != -1 and self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be -1 or >= 1, got {self.n_jobs}")
         if self.max_per_class < 2:
             # A one-class SVM needs at least two training points per class;
-            # fail here rather than after the training-set forward passes.
+            # fail here rather than after the training-set forward pass.
             raise ValueError(
                 f"max_per_class must be >= 2, got {self.max_per_class}"
             )
@@ -363,12 +355,11 @@ class DeepValidator:
     ) -> "DeepValidator":
         """Fit per-layer validators on correctly classified training images.
 
-        Runs the memory-bounded pipeline of :mod:`repro.core.fitting`:
-        representations are extracted in ``chunk_size`` batches (only the
-        subsampled training rows are retained per layer) and the
-        independent (layer, class) solves are dispatched over
-        ``config.n_jobs`` workers. The fitted validator is bit-identical
-        for any ``n_jobs``. ``journal`` (a
+        Runs the in-process pipeline of :mod:`repro.core.fitting`: one
+        forward pass over ``train_images`` in ``chunk_size`` batches both
+        finds the correctly classified images and keeps their
+        representations, then the (layer, class) one-class SVMs are solved
+        one at a time. ``journal`` (a
         :class:`~repro.core.checkpoint.TaskJournal`) makes the solve stage
         crash-safe: completed (layer, class) solutions are flushed as they
         land and replayed on a rerun of the same data and config.
@@ -379,27 +370,17 @@ class DeepValidator:
         # A refit reports only its own run: stale layer lists and image
         # counts from a previous fit must not accumulate.
         self.fit_summary = _FitSummary()
-        train_labels = np.asarray(train_labels)
-        predictions = self.model.predict(train_images, batch_size=chunk_size)
-        keep = predictions == train_labels
-        self.fit_summary.total_training_images = len(train_images)
-        self.fit_summary.correctly_classified = int(keep.sum())
-        if not self.config.filter_misclassified:
-            # Ablation: skip Algorithm 1 line 2 and keep every image.
-            keep = np.ones(len(train_images), dtype=bool)
-        images = train_images[keep]
-        labels = train_labels[keep]
-
-        self.validators = fit_deep_validator(
+        self.validators, correct = fit_deep_validator(
             self.model,
-            images,
-            labels,
+            train_images,
+            train_labels,
             self.layer_indices,
             self.config,
             chunk_size=chunk_size,
-            n_jobs=getattr(self.config, "n_jobs", 1),
             journal=journal,
         )
+        self.fit_summary.total_training_images = len(train_images)
+        self.fit_summary.correctly_classified = correct
         probe_names = self.model.probe_names
         self.fit_summary.layers_fitted = [
             probe_names[layer_index] for layer_index in self.layer_indices

@@ -1,6 +1,6 @@
 """Centralised warning emission with strict-mode escalation.
 
-Resilience warnings (:class:`~repro.core.fitting.ParallelFitWarning`,
+Resilience warnings (such as
 :class:`~repro.core.resilience.DegradedModeWarning`) signal that the system
 kept running in a reduced mode. In production that is exactly right; in an
 experiment run it can silently change what is being measured. Routing every

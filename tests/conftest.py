@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.utils.warnings_ import STRICT_ENV
 from tests.helpers import make_tiny_model, train_tiny_model
 
 # Property tests — fault-plan generation in particular — must draw and
@@ -19,6 +20,17 @@ from tests.helpers import make_tiny_model, train_tiny_model
 # keeps previously-found failures from steering later runs.
 settings.register_profile("repro-deterministic", derandomize=True, database=None)
 settings.load_profile("repro-deterministic")
+
+
+@pytest.fixture()
+def strict_off(monkeypatch):
+    """Pin ``REPRO_STRICT`` off for a test of the degraded path.
+
+    Strict mode turns every degradation warning into a raise, so a test
+    that checks what degraded scoring returns must run with it off, even
+    in a strict-mode CI job.
+    """
+    monkeypatch.setenv(STRICT_ENV, "0")
 
 
 @pytest.fixture(scope="session")

@@ -213,50 +213,3 @@ class TestInferBenchRecord:
             assert timing["count"] > 0
             assert timing["total_seconds"] >= 0
 
-
-class TestFitBenchRecord:
-    def test_top_level_schema(self):
-        record = _load("BENCH_fit.json")
-        assert set(record) == {
-            "benchmark",
-            "layers",
-            "classes",
-            "per_class",
-            "cores",
-            "solve_stage",
-            "end_to_end_fit",
-            "metrics",
-        }
-        assert record["benchmark"] == "fit-parallel-task-graph"
-        for key in ("layers", "classes", "per_class", "cores"):
-            assert isinstance(record[key], int)
-
-    def test_measurement_sections(self):
-        record = _load("BENCH_fit.json")
-        assert set(record["solve_stage"]) == {
-            "tasks",
-            "n_jobs",
-            "serial_seconds",
-            "parallel_seconds",
-            "speedup",
-        }
-        assert set(record["end_to_end_fit"]) == {
-            "n_jobs",
-            "serial_seconds",
-            "parallel_seconds",
-        }
-
-    def test_metrics_summary(self):
-        metrics = _load("BENCH_fit.json")["metrics"]
-        assert set(metrics) == {"tasks_by_mode", "stage_seconds", "counters"}
-        tasks = metrics["tasks_by_mode"]
-        assert set(tasks) <= {"pool", "inprocess", "replayed"}
-        assert sum(tasks.values()) > 0
-        _assert_stage_seconds(metrics["stage_seconds"])
-        assert "fit.solve" in metrics["stage_seconds"]
-        assert set(metrics["counters"]) == {
-            "fit_pool_retries_total",
-            "fit_serial_fallback_total",
-        }
-        for value in metrics["counters"].values():
-            assert value >= 0

@@ -1,21 +1,25 @@
-"""Tests for the parallel, memory-bounded fitting pipeline (Algorithm 1).
+"""Tests for the in-process, single-pass fitting pipeline (Algorithm 1).
 
-Covers the refit-staleness regressions, the chunked extraction memory
-contract, worker-failure fallback, and serial/parallel equivalence. The
-hypothesis-driven bit-identity properties live in
-``test_fitting_determinism.py``.
+Covers the refit-staleness regressions, the one-forward-pass and
+one-task-at-a-time memory contracts, and configs pickled before the
+worker-count field was removed. The hypothesis-driven bit-identity
+properties live in ``test_fitting_determinism.py``.
 """
+
+import pickle
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.core.fitting as fitting
+from repro.core.bundle import BundleStore, ValidatorBundle
 from repro.core.fitting import (
-    ParallelFitWarning,
-    default_fit_jobs,
-    extract_task_features,
+    TaskFeatures,
+    extract_kept_rows,
     fit_validators_from_arrays,
     plan_fit_tasks,
-    resolve_n_jobs,
 )
 from repro.core.validator import DeepValidator, LayerValidator, ValidatorConfig
 from repro.nn.sequential import ProbedSequential
@@ -136,78 +140,125 @@ class TestChunkedExtraction:
         )
         assert seen and max(seen) <= 16
 
+    def test_fit_forwards_each_training_image_once(
+        self, trained_tiny_model, monkeypatch
+    ):
+        # One pass finds the correctly classified images and keeps their
+        # representations: no separate predict pass, no second forward.
+        model, train_x, train_y, *_ = trained_tiny_model
+        forwarded: list[int] = []
+        original_iter = ProbedSequential.iter_hidden_representations
+        original_proba = ProbedSequential.predict_proba
+
+        def spying_iter(self, images, batch_size=256, compiled=None):
+            for start, probs, reps in original_iter(
+                self, images, batch_size=batch_size, compiled=compiled
+            ):
+                forwarded.append(len(probs))
+                yield start, probs, reps
+
+        def spying_proba(self, images, batch_size=256, compiled=None):
+            probs = original_proba(self, images, batch_size=batch_size, compiled=compiled)
+            forwarded.append(len(probs))
+            return probs
+
+        monkeypatch.setattr(ProbedSequential, "iter_hidden_representations", spying_iter)
+        monkeypatch.setattr(ProbedSequential, "predict_proba", spying_proba)
+        DeepValidator(model, ValidatorConfig(nu=0.15, max_per_class=40)).fit(
+            train_x, train_y, chunk_size=64
+        )
+        assert sum(forwarded) == len(train_x)
+
+    def test_one_task_alive_and_layer_buffers_released(
+        self, trained_tiny_model, monkeypatch
+    ):
+        # Each task's float64 copy is built when it is solved and dead by
+        # the next solve; a layer's buffer dies after its last task.
+        model, train_x, train_y, *_ = trained_tiny_model
+        buffers: dict[int, weakref.ref] = {}
+        tasks: list[weakref.ref] = []
+        original_extract = fitting.extract_kept_rows
+        original_solve = fitting._solve_fit_task
+
+        def spying_extract(*args, **kwargs):
+            kept_labels, correct, layer_buffers = original_extract(*args, **kwargs)
+            buffers.update({k: weakref.ref(v) for k, v in layer_buffers.items()})
+            return kept_labels, correct, layer_buffers
+
+        def spying_solve(payload):
+            (position, _), features, _ = payload
+            assert all(ref() is None for ref in tasks)
+            # All probes are validated, so position == probe index.
+            assert buffers[position]() is not None
+            assert all(buffers[k]() is None for k in buffers if k < position)
+            tasks.append(weakref.ref(features))
+            return original_solve(payload)
+
+        monkeypatch.setattr(fitting, "extract_kept_rows", spying_extract)
+        monkeypatch.setattr(fitting, "_solve_fit_task", spying_solve)
+        DeepValidator(model, ValidatorConfig(nu=0.15, max_per_class=40)).fit(
+            train_x, train_y
+        )
+        assert len(tasks) == 3 * len(model.probe_names)
+        assert sorted(buffers) == list(range(len(model.probe_names)))
+        assert all(ref() is None for ref in [*tasks, *buffers.values()])
+
     def test_gathered_features_bounded_by_max_per_class(self, trained_tiny_model):
         model, train_x, train_y, *_ = trained_tiny_model
         config = ValidatorConfig(max_per_class=25)
-        labels = model.predict(train_x)
-        keep = labels == train_y
-        tasks = plan_fit_tasks(
-            train_y[keep], list(enumerate(range(len(model.probe_names)))), config
+        layers = list(range(len(model.probe_names)))
+        kept_labels, _, buffers = extract_kept_rows(
+            model, train_x, train_y, layers, chunk_size=16
         )
-        features = extract_task_features(model, train_x[keep], tasks, chunk_size=16)
+        tasks = plan_fit_tasks(kept_labels, list(enumerate(layers)), config)
+        features = TaskFeatures(tasks, buffers)
         for task in tasks:
             assert len(features[task.key]) <= 25
 
     def test_extraction_matches_materialised_rows(self, trained_tiny_model):
-        # Chunked gathering must return the same float64 rows, in the same
-        # order, as slicing the fully materialised representations.
+        # The one pass must keep exactly the rows of the materialised
+        # representations the model classifies correctly, in training
+        # order, and gather each task's float64 rows bit-equal to slicing
+        # them. Every seventh label is wrong, so the kept rows have gaps.
         model, train_x, train_y, *_ = trained_tiny_model
-        config = ValidatorConfig(max_per_class=30)
-        keep = model.predict(train_x) == train_y
-        images, labels = train_x[keep], train_y[keep]
-        tasks = plan_fit_tasks(
-            labels, list(enumerate(range(len(model.probe_names)))), config
+        labels = train_y.copy()
+        labels[::7] = (labels[::7] + 1) % 3
+        layers = list(range(len(model.probe_names)))
+        kept_labels, correct, buffers = extract_kept_rows(
+            model, train_x, labels, layers, chunk_size=256
         )
-        features = extract_task_features(model, images, tasks, chunk_size=256)
-        _, full = model.hidden_representations(images)
+        probs, full = model.hidden_representations(train_x)
+        kept = probs.argmax(axis=1) == labels
+        assert 0 < kept.sum() < len(labels)
+        assert correct == kept.sum()
+        np.testing.assert_array_equal(kept_labels, labels[kept])
+        tasks = plan_fit_tasks(
+            kept_labels, list(enumerate(layers)), ValidatorConfig(max_per_class=30)
+        )
+        features = TaskFeatures(tasks, buffers)
         for task in tasks:
-            expected = np.asarray(full[task.layer_index][task.rows], dtype=np.float64)
+            expected = np.asarray(
+                full[task.layer_index][kept][task.rows], dtype=np.float64
+            )
             np.testing.assert_array_equal(features[task.key], expected)
 
-
-class TestParallelSolving:
-    def test_parallel_equals_serial_end_to_end(self, trained_tiny_model):
+    def test_unfiltered_pass_keeps_every_row(self, trained_tiny_model):
         model, train_x, train_y, *_ = trained_tiny_model
-        serial = DeepValidator(model, ValidatorConfig(nu=0.15, n_jobs=1))
-        parallel = DeepValidator(model, ValidatorConfig(nu=0.15, n_jobs=3))
-        serial.fit(train_x, train_y)
-        parallel.fit(train_x, train_y)
-        for a, b in zip(serial.validators, parallel.validators):
-            assert a.classes == b.classes
-            for klass in a.classes:
-                sa, sb = a._svms[klass], b._svms[klass]
-                np.testing.assert_array_equal(sa.support_vectors_, sb.support_vectors_)
-                np.testing.assert_array_equal(sa.dual_coef_, sb.dual_coef_)
-                assert sa.rho_ == sb.rho_
-                assert sa.norm_w_ == sb.norm_w_
-                np.testing.assert_array_equal(
-                    a._scalers[klass].mean_, b._scalers[klass].mean_
-                )
-
-    def test_pool_failure_degrades_to_in_process(self, monkeypatch):
-        import repro.core.fitting as fitting
-
-        def broken_pool(processes):
-            raise OSError("fork failed")
-
-        monkeypatch.setattr(fitting, "_make_pool", broken_pool)
-        reps, labels = gaussian_classes()
-        with pytest.warns(ParallelFitWarning, match="falling back"):
-            fitted = fit_validators_from_arrays(
-                [reps], labels, [0], ValidatorConfig(), n_jobs=4
-            )
-        reference = fit_validators_from_arrays(
-            [reps], labels, [0], ValidatorConfig(), n_jobs=1
+        labels = train_y.copy()
+        labels[::7] = (labels[::7] + 1) % 3
+        kept_labels, correct, buffers = extract_kept_rows(
+            model, train_x, labels, [0], filter_misclassified=False
         )
-        for klass in reference[0].classes:
-            np.testing.assert_array_equal(
-                fitted[0]._svms[klass].support_vectors_,
-                reference[0]._svms[klass].support_vectors_,
-            )
+        _, full = model.hidden_representations(train_x)
+        assert correct < len(labels)
+        np.testing.assert_array_equal(kept_labels, labels)
+        np.testing.assert_array_equal(buffers[0], full[0])
 
-    def test_unpicklable_kernel_degrades_to_in_process(self):
-        # A custom kernel holding a lambda cannot cross the process
-        # boundary; the fit must warn and complete in-process instead.
+
+class TestInProcessSolving:
+    def test_unpicklable_kernel_fits_in_process(self):
+        # A custom kernel holding a lambda cannot be pickled; fitting never
+        # pickles it, so it fits without a warning.
         class LambdaKernel(Kernel):
             name = "lambda-linear"
 
@@ -222,46 +273,39 @@ class TestParallelSolving:
 
         reps, labels = gaussian_classes(d=4)
         config = ValidatorConfig(kernel=LambdaKernel(), standardize=False)
-        with pytest.warns(ParallelFitWarning):
-            fitted = fit_validators_from_arrays([reps], labels, [0], config, n_jobs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted = fit_validators_from_arrays([reps], labels, [0], config)
         assert fitted[0].classes == [0, 1, 2]
         scores = fitted[0].discrepancy(reps[:5], labels[:5])
         assert np.isfinite(scores).all()
 
-    def test_single_task_skips_the_pool(self, monkeypatch):
-        import repro.core.fitting as fitting
-
-        def exploding_pool(processes):  # pragma: no cover - must not be hit
-            raise AssertionError("pool must not be created for one task")
-
-        monkeypatch.setattr(fitting, "_make_pool", exploding_pool)
-        reps, labels = gaussian_classes()
-        fitted = fit_validators_from_arrays(
-            [reps], np.zeros(len(labels), dtype=np.int64), [0],
-            ValidatorConfig(), n_jobs=4,
-        )
-        assert fitted[0].classes == [0]
-
 
 class TestKnobs:
-    def test_resolve_n_jobs(self):
-        assert resolve_n_jobs(None) == 1
-        assert resolve_n_jobs(3) == 3
-        assert resolve_n_jobs(-1) >= 1
-        with pytest.raises(ValueError):
-            resolve_n_jobs(0)
-
-    def test_default_fit_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_JOBS", "2")
-        assert default_fit_jobs() == 2
-        monkeypatch.delenv("REPRO_FIT_JOBS")
-        assert 1 <= default_fit_jobs() <= 4
-
     def test_config_rejects_bad_n_jobs(self):
-        with pytest.raises(ValueError):
-            ValidatorConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            ValidatorConfig(n_jobs=-2)
+        # Fitting has no worker count any more; the field is gone.
+        with pytest.raises(TypeError):
+            ValidatorConfig(n_jobs=2)
+
+    def test_legacy_worker_count_pickles_load_and_score_identically(
+        self, trained_tiny_model, tmp_path
+    ):
+        # Validators and bundles pickled while ValidatorConfig still had
+        # a worker-count field carry it in the config's state. They must
+        # load, and score bit-identically to the validator they came from.
+        model, train_x, train_y, test_x, _ = trained_tiny_model
+        validator = DeepValidator(model, ValidatorConfig(nu=0.15, max_per_class=40))
+        validator.fit(train_x, train_y)
+        validator.calibrate_threshold(test_x[:16], test_x[16:32])
+        expected = validator.joint_discrepancy(test_x[32:48])
+        validator.config.__dict__["n_jobs"] = 4  # the old pickled state
+        legacy = pickle.loads(pickle.dumps(validator))
+        assert legacy.config.__dict__["n_jobs"] == 4
+        np.testing.assert_array_equal(legacy.joint_discrepancy(test_x[32:48]), expected)
+        store = BundleStore(tmp_path)
+        store.save(ValidatorBundle.pack(validator, version=1, name="legacy"))
+        loaded = store.load("legacy", 1).validator
+        np.testing.assert_array_equal(loaded.joint_discrepancy(test_x[32:48]), expected)
 
 
 class TestFromSolution:

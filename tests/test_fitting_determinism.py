@@ -1,12 +1,12 @@
-"""Determinism suite: parallel fitting is bit-identical to serial.
+"""Determinism suite: the fitting pipeline is bit-identical to the serial path.
 
-The fitting pipeline's contract is that ``n_jobs`` is purely a wall-clock
-knob — support vectors, dual coefficients, offsets, scaler statistics, and
-every downstream discrepancy must be *exactly* equal (``==``, not allclose)
-for any worker count, across random feature sets, class skews, and
-``max_per_class`` subsampling. Workers solve on pickled copies of the same
-float64 features with the same BLAS, so any divergence indicates scheduling
-leaked into the math.
+The fitting pipeline plans every (layer, class) task up front, then casts
+and solves one task at a time. Its contract is that this changes nothing
+but memory: support vectors, dual coefficients, offsets, scaler
+statistics, and every downstream discrepancy must be *exactly* equal
+(``==``, not allclose) to the paper-faithful per-layer
+``LayerValidator.fit``, across random feature sets, class skews,
+``max_per_class`` subsampling, and float32 or float64 representations.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fitting import fit_validators_from_arrays
-from repro.core.validator import ValidatorConfig
+from repro.core.validator import LayerValidator, ValidatorConfig
 
 
 def random_layer_reps(seed, class_sizes, dims):
@@ -50,7 +50,17 @@ def assert_validators_identical(fitted_a, fitted_b):
                 )
 
 
-class TestParallelBitIdentity:
+def serial_fit(reps, labels, config):
+    """The reference: ``LayerValidator.fit`` per layer, seeded as the plan is."""
+    return [
+        LayerValidator(position, f"layer{position}", config).fit(
+            rep, labels, rng=config.seed + position
+        )
+        for position, rep in enumerate(reps)
+    ]
+
+
+class TestPipelineBitIdentity:
     @given(
         seed=st.integers(0, 10_000),
         sizes=st.tuples(st.integers(8, 40), st.integers(8, 40), st.integers(8, 40)),
@@ -60,15 +70,15 @@ class TestParallelBitIdentity:
     def test_random_features_and_subsampling(self, seed, sizes, max_per_class):
         reps, labels = random_layer_reps(seed, sizes, dims=(4, 6))
         config = ValidatorConfig(max_per_class=max_per_class, seed=seed % 7)
-        serial = fit_validators_from_arrays(reps, labels, [0, 1], config, n_jobs=1)
-        parallel = fit_validators_from_arrays(reps, labels, [0, 1], config, n_jobs=4)
-        assert_validators_identical(serial, parallel)
+        serial = serial_fit(reps, labels, config)
+        pipeline = fit_validators_from_arrays(reps, labels, [0, 1], config)
+        assert_validators_identical(serial, pipeline)
         # Downstream discrepancies are bit-identical too.
         queries = np.random.default_rng(seed + 1).normal(size=(16, 4))
         predicted = np.random.default_rng(seed + 2).integers(0, 3, size=16)
         np.testing.assert_array_equal(
             serial[0].discrepancy(queries, predicted),
-            parallel[0].discrepancy(queries, predicted),
+            pipeline[0].discrepancy(queries, predicted),
         )
 
     @given(
@@ -79,30 +89,30 @@ class TestParallelBitIdentity:
     @settings(max_examples=5, deadline=None)
     def test_class_skew(self, seed, small, large):
         # One near-empty class against a dominant one: the skew must not
-        # change which rows each task trains on under any worker count.
+        # change which rows each task trains on.
         reps, labels = random_layer_reps(seed, (small, large), dims=(5,))
         config = ValidatorConfig(max_per_class=50, seed=1)
-        serial = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=1)
-        parallel = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=4)
-        assert_validators_identical(serial, parallel)
+        serial = serial_fit(reps, labels, config)
+        pipeline = fit_validators_from_arrays(reps, labels, [0], config)
+        assert_validators_identical(serial, pipeline)
 
     @given(seed=st.integers(0, 10_000), kernel=st.sampled_from(["rbf", "linear", "poly"]))
     @settings(max_examples=5, deadline=None)
     def test_kernels_and_no_standardize(self, seed, kernel):
         reps, labels = random_layer_reps(seed, (20, 20), dims=(4,))
         config = ValidatorConfig(kernel=kernel, standardize=False, max_per_class=15)
-        serial = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=1)
-        parallel = fit_validators_from_arrays(reps, labels, [0], config, n_jobs=2)
-        assert_validators_identical(serial, parallel)
+        serial = serial_fit(reps, labels, config)
+        pipeline = fit_validators_from_arrays(reps, labels, [0], config)
+        assert_validators_identical(serial, pipeline)
 
-    def test_worker_count_and_schedule_invariance(self):
-        # Same plan solved with 1, 2, and 5 workers over 8 tasks: every
-        # merge must land on the identical validator.
-        reps, labels = random_layer_reps(3, (15, 15, 15, 15), dims=(4, 4))
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=5, deadline=None)
+    def test_float32_representations_cast_per_task(self, seed):
+        # The forward emits float32; the pipeline casts one task's rows at
+        # a time, which must equal casting the whole matrix up front.
+        reps, labels = random_layer_reps(seed, (15, 15, 15, 15), dims=(4, 6))
+        reps = [rep.astype(np.float32) for rep in reps]
         config = ValidatorConfig(max_per_class=10, seed=2)
-        fitted = [
-            fit_validators_from_arrays(reps, labels, [0, 1], config, n_jobs=n)
-            for n in (1, 2, 5)
-        ]
-        assert_validators_identical(fitted[0], fitted[1])
-        assert_validators_identical(fitted[0], fitted[2])
+        serial = serial_fit(reps, labels, config)
+        pipeline = fit_validators_from_arrays(reps, labels, [0, 1], config)
+        assert_validators_identical(serial, pipeline)

@@ -2,7 +2,7 @@
 
 The acceptance contract for the resilience layer: for every fault class in
 :mod:`repro.testing.faults` (NaN/Inf activations, corrupted artifacts,
-failing packed scorers, worker-pool death) the monitor returns structured
+failing packed scorers) the monitor returns structured
 verdicts — never an unhandled exception — ``health()`` reports the
 failure, recovery closes the breaker, and the degraded path on a
 fault-free replay is bit-identical to the normal path.
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeepValidator, RuntimeMonitor, ValidatorConfig
-from repro.core.fitting import ParallelFitWarning, solve_tasks
 from repro.core.resilience import (
     DEGRADED,
     FLAGGED,
@@ -31,7 +30,6 @@ from repro.core.resilience import (
 from repro.testing import (
     FaultPlan,
     corrupt_artifact,
-    dead_fit_pool,
     fail_packed_scorer,
     nan_activations,
 )
@@ -251,6 +249,7 @@ class TestDegradedParity:
 
 @pytest.mark.faults
 class TestNanActivationFault:
+    @pytest.mark.usefixtures("strict_off")
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_degrades_instead_of_raising(self, fitted_validator, trained_tiny_model, value):
         model = trained_tiny_model[0]
@@ -266,6 +265,7 @@ class TestNanActivationFault:
         assert health["layers"]["conv2"]["last_error"] == "non-finite discrepancies"
         assert health["counts"]["degraded"] == len(verdicts)
 
+    @pytest.mark.usefixtures("strict_off")
     def test_breaker_opens_then_recovery_closes_it(
         self, fitted_validator, trained_tiny_model
     ):
@@ -289,6 +289,7 @@ class TestNanActivationFault:
         assert all(v.status in (VALIDATED, FLAGGED) for v in verdicts)
         assert monitor.health()["layers"]["conv2"]["state"] == "closed"
 
+    @pytest.mark.usefixtures("strict_off")
     def test_all_layers_faulty_quarantines_batch(
         self, fitted_validator, trained_tiny_model
     ):
@@ -304,12 +305,22 @@ class TestNanActivationFault:
         assert all(v.reason == "no healthy layer validators" for v in verdicts)
         assert monitor.stats["quarantined"] == 4
 
+    def test_strict_mode_escalates_nan_layer(
+        self, fitted_validator, trained_tiny_model, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRICT", "1")
+        monitor, _ = make_monitor(fitted_validator)
+        with nan_activations(trained_tiny_model[0], 1):
+            with pytest.raises(DegradedModeWarning, match="conv2"):
+                monitor.classify(fresh_images())
+
 
 # -- fault class: failing packed scorer ---------------------------------------
 
 
 @pytest.mark.faults
 class TestScorerFault:
+    @pytest.mark.usefixtures("strict_off")
     def test_nth_call_failure_degrades_then_recovers(self, fitted_validator):
         monitor, _ = make_monitor(fitted_validator)
         target = fitted_validator.validators[0]
@@ -325,6 +336,7 @@ class TestScorerFault:
         assert health["failures"] == 1 and health["state"] == "closed"
         assert "InjectedScorerError" in health["last_error"]
 
+    @pytest.mark.usefixtures("strict_off")
     def test_verdict_never_exception_and_health_reports(self, fitted_validator):
         monitor, _ = make_monitor(fitted_validator)
         with fail_packed_scorer(fitted_validator.validators[2], nth=1, count=-1):
@@ -396,37 +408,6 @@ class TestArtifactFault:
                 pass
 
 
-# -- fault class: worker-pool death --------------------------------------------
-
-
-@pytest.mark.faults
-class TestPoolDeathFault:
-    def _features(self):
-        rng = np.random.default_rng(0)
-        return {
-            (0, 0): rng.normal(size=(30, 4)),
-            (0, 1): rng.normal(size=(30, 4)),
-        }
-
-    def test_solve_tasks_survives_pool_death(self):
-        config = ValidatorConfig()
-        reference = solve_tasks(self._features(), config, n_jobs=1)
-        with dead_fit_pool():
-            with pytest.warns(ParallelFitWarning, match="falling back"):
-                survived = solve_tasks(self._features(), config, n_jobs=2)
-        assert sorted(survived) == sorted(reference)
-        for key in reference:
-            np.testing.assert_array_equal(
-                survived[key].support_vectors, reference[key].support_vectors
-            )
-
-    def test_strict_mode_escalates_pool_death(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT", "1")
-        with dead_fit_pool():
-            with pytest.raises(ParallelFitWarning):
-                solve_tasks(self._features(), ValidatorConfig(), n_jobs=2)
-
-
 # -- monitor contract ----------------------------------------------------------
 
 
@@ -494,6 +475,7 @@ class TestGeneratedFaultPlans:
         seed=st.integers(0, 50),
     )
     @settings(max_examples=20, deadline=None)
+    @pytest.mark.usefixtures("strict_off")
     def test_any_plan_yields_structured_verdicts(
         self,
         fitted_validator,
